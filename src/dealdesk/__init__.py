@@ -1,5 +1,9 @@
 """Batch M&A analytics: comparable valuation, deal economics, wave diagnostics."""
 
+# Set before the submodule imports: report.provenance reads it, and
+# pyproject.toml takes the package version from here.
+__version__ = "0.1.0"
+
 from .comps import (
     AggregateStats,
     CompSet,
@@ -105,5 +109,3 @@ from .waves import (
     rms_by_degree,
     save_count_series,
 )
-
-__version__ = "0.1.0"

@@ -32,7 +32,6 @@ class RunConfig:
     paths: dict[str, str] = field(default_factory=dict)
     output: Optional[str] = None
     format: str = "json"
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
@@ -41,9 +40,12 @@ class RunConfig:
                 raise ConfigInvalidError(f"--{name}: path does not exist: {path}")
         if self.format not in ("json", "text"):
             raise ConfigInvalidError(f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise ConfigInvalidError(f"--threads must be >= 1, got {self.threads}")
         p = self.params
+        # Destinations are checked here so a bad one fails before the computation runs.
+        for flag, path in (("output", self.output), ("series-out", p.get("series_out")),
+                           ("plot-out", p.get("plot_out"))):
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+                raise ConfigInvalidError(f"--{flag}: not a file in an existing directory: {path}")
         for key in ("window", "max_lag", "degree", "length", "estimation_periods", "event_window"):
             if key in p and p[key] < (0 if key == "event_window" else 1):
                 raise ConfigInvalidError(f"--{key.replace('_', '-')} must be positive, got {p[key]}")
@@ -60,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dealdesk",
         description="Batch M&A analytics: valuation, event studies, regressions and wave diagnostics.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="bound for internal parallelism (default: DEALDESK_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("DEALDESK_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigInvalidError(f"DEALDESK_THREADS must be an integer, got {raw!r}")
     paths = {}
     for name in ("comps", "target", "ranges", "returns", "data", "deals"):
         value = getattr(args, name, None)
@@ -143,14 +132,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "threads", "output", "format", *paths) and v is not None
+        if k not in ("command", "output", "format", *paths) and v is not None
     }
     config = RunConfig(
         command=args.command,
         paths=paths,
         output=getattr(args, "output", None),
         format=getattr(args, "format", "json"),
-        threads=threads,
         params=params,
     )
     if config.command == "simulate-wave":
@@ -298,21 +286,31 @@ def _run_regress(config: RunConfig) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _diagnostics_payload(d: waves.WaveDiagnostics) -> dict:
-    return {
-        "window": d.window,
-        "autocorrelation": list(d.autocorrelation),
-        "dominant_period": d.dominant_period,
-        "power_fraction": d.power_fraction,
-        "polynomial": {
-            "degree": d.polynomial_fit.degree,
-            "coefficients": list(d.polynomial_fit.coefficients),
-            "rms_error": d.polynomial_fit.rms_error,
+def _analysis(
+    series: waves.CountSeries, params: dict
+) -> tuple[dict, list[str], waves.CountSeries, waves.PolynomialFit]:
+    """Wave diagnostics plus RMS error by polynomial degree of the smoothed series.
+
+    Returns the report's ``diagnostics`` and ``rms_by_degree`` blocks, their
+    text lines, and the smoothed series and fit that the plot rows need.
+    """
+    d = waves.analyze(series, params["window"], params["max_lag"], params["degree"])
+    smoothed = waves.moving_average(series, params["window"])
+    rms = waves.rms_by_degree(smoothed, [k for k in range(1, 9) if k < len(smoothed)])
+    blocks = {
+        "diagnostics": {
+            "window": d.window,
+            "autocorrelation": list(d.autocorrelation),
+            "dominant_period": d.dominant_period,
+            "power_fraction": d.power_fraction,
+            "polynomial": {
+                "degree": d.polynomial_fit.degree,
+                "coefficients": list(d.polynomial_fit.coefficients),
+                "rms_error": d.polynomial_fit.rms_error,
+            },
         },
+        "rms_by_degree": {str(k): v for k, v in rms.items()},
     }
-
-
-def _diagnostics_text(d: waves.WaveDiagnostics, rms: dict[int, float]) -> list[str]:
     lines = [
         f"  window            {d.window}",
         f"  dominant period   {d.dominant_period:.2f}",
@@ -323,15 +321,30 @@ def _diagnostics_text(d: waves.WaveDiagnostics, rms: dict[int, float]) -> list[s
         "  rms by degree     "
         + " ".join(f"{deg}:{err:.4f}" for deg, err in sorted(rms.items())),
     ]
-    return lines
+    return blocks, lines, smoothed, d.polynomial_fit
 
 
-def _select_measure(series: deals_mod.DealSeries, measure: str) -> waves.CountSeries:
-    return series.counts if measure == "counts" else series.total_value
+def _deal_series(config: RunConfig, predicate=None) -> tuple[dict, waves.CountSeries]:
+    """Parse and bucket the --deals list; returns the report's deal block and the measured series."""
+    result = deals_mod.parse_deals(config.paths["deals"], config.params.get("sector"))
+    series = deals_mod.aggregate_deals(result.records, config.params["bucketing"], predicate)
+    measure = config.params["measure"]
+    measured = series.counts if measure == "counts" else series.total_value
+    block = {
+        "bucketing": series.bucketing,
+        "measure": measure,
+        "records": len(result.records),
+        "malformed": [
+            {"row_number": m.row_number, "reason": m.reason} for m in result.malformed
+        ],
+        "warnings": list(result.warnings),
+        "value_exclusions": series.value_exclusions,
+        "buckets": len(measured),
+    }
+    return block, measured
 
 
 def _run_waves(config: RunConfig) -> tuple[dict, str]:
-    result = deals_mod.parse_deals(config.paths["deals"], config.params.get("sector"))
     predicate = None
     target_country = config.params.get("target_country")
     bidder_country = config.params.get("bidder_country")
@@ -343,36 +356,21 @@ def _run_waves(config: RunConfig) -> tuple[dict, str]:
                 return False
             return True
 
-    series = deals_mod.aggregate_deals(result.records, config.params["bucketing"], predicate)
-    measured = _select_measure(series, config.params["measure"])
-    diagnostics = waves.analyze(
-        measured, config.params["window"], config.params["max_lag"], config.params["degree"]
-    )
-    smoothed = waves.moving_average(measured, config.params["window"])
-    degrees = [d for d in range(1, 9) if d < len(smoothed)]
-    rms = waves.rms_by_degree(smoothed, degrees)
+    deals, measured = _deal_series(config, predicate)
+    blocks, diagnostic_lines, _, _ = _analysis(measured, config.params)
     payload = {
         "kind": "waves",
-        "bucketing": series.bucketing,
-        "measure": config.params["measure"],
-        "records": len(result.records),
-        "malformed": [
-            {"row_number": m.row_number, "reason": m.reason} for m in result.malformed
-        ],
-        "warnings": list(result.warnings),
-        "value_exclusions": series.value_exclusions,
-        "buckets": len(measured),
-        "diagnostics": _diagnostics_payload(diagnostics),
-        "rms_by_degree": {str(k): v for k, v in rms.items()},
+        **deals,
+        **blocks,
         "provenance": report.provenance(config.paths),
     }
     lines = [
-        f"Wave diagnostics over {len(result.records)} deals "
-        f"({len(measured)} {series.bucketing} buckets, measure={config.params['measure']})",
+        f"Wave diagnostics over {deals['records']} deals "
+        f"({deals['buckets']} {deals['bucketing']} buckets, measure={deals['measure']})",
     ]
-    if result.malformed:
-        lines.append(f"  malformed rows    {len(result.malformed)}")
-    lines += _diagnostics_text(diagnostics, rms)
+    if deals["malformed"]:
+        lines.append(f"  malformed rows    {len(deals['malformed'])}")
+    lines += diagnostic_lines
     return payload, "\n".join(lines) + "\n"
 
 
@@ -386,15 +384,12 @@ def _run_simulate(config: RunConfig) -> tuple[dict, str]:
         noise=p["noise"],
     )
     series = waves.generate_series(model, p["length"], clamp_at_zero=not p.get("no_clamp", False))
-    diagnostics = waves.analyze(series, p["window"], p["max_lag"], p["degree"])
-    smoothed = waves.moving_average(series, p["window"])
-    degrees = [d for d in range(1, 9) if d < len(smoothed)]
-    rms = waves.rms_by_degree(smoothed, degrees)
+    blocks, diagnostic_lines, smoothed, poly = _analysis(series, p)
 
     if p.get("series_out"):
         waves.save_count_series(series, p["series_out"])
     if p.get("plot_out"):
-        rows = waves.plot_data_rows(series, smoothed, diagnostics.polynomial_fit)
+        rows = waves.plot_data_rows(series, smoothed, poly)
         report.write_rows_atomic(p["plot_out"], rows)
 
     payload = {
@@ -405,42 +400,31 @@ def _run_simulate(config: RunConfig) -> tuple[dict, str]:
         "sigma": p["sigma"],
         "seed": p["seed"],
         "length": p["length"],
-        "diagnostics": _diagnostics_payload(diagnostics),
-        "rms_by_degree": {str(k): v for k, v in rms.items()},
+        **blocks,
         "provenance": report.provenance(config.paths, seed=p["seed"]),
     }
     lines = [
         f"Simulated {p['trend']} series, length {p['length']}, sigma {p['sigma']}, seed {p['seed']}",
     ]
-    lines += _diagnostics_text(diagnostics, rms)
+    lines += diagnostic_lines
     return payload, "\n".join(lines) + "\n"
 
 
 def _run_ingest(config: RunConfig) -> tuple[dict, str]:
-    result = deals_mod.parse_deals(config.paths["deals"], config.params.get("sector"))
-    series = deals_mod.aggregate_deals(result.records, config.params["bucketing"])
-    measured = _select_measure(series, config.params["measure"])
+    deals, measured = _deal_series(config)
     rows = [["period", "value"]] + [
         [t, repr(v)] for t, v in zip(measured.timestamps, measured.values)
     ]
     report.write_rows_atomic(config.params["series_out"], rows)
     payload = {
         "kind": "ingest",
-        "bucketing": series.bucketing,
-        "measure": config.params["measure"],
-        "records": len(result.records),
-        "malformed": [
-            {"row_number": m.row_number, "reason": m.reason} for m in result.malformed
-        ],
-        "warnings": list(result.warnings),
-        "value_exclusions": series.value_exclusions,
-        "buckets": len(measured),
+        **deals,
         "provenance": report.provenance(config.paths),
     }
     lines = [
-        f"Ingested {len(result.records)} deals into {len(measured)} {series.bucketing} buckets",
-        f"  malformed rows   {len(result.malformed)}",
-        f"  value exclusions {series.value_exclusions}",
+        f"Ingested {deals['records']} deals into {deals['buckets']} {deals['bucketing']} buckets",
+        f"  malformed rows   {len(deals['malformed'])}",
+        f"  value exclusions {deals['value_exclusions']}",
         f"  series written   {config.params['series_out']}",
     ]
     return payload, "\n".join(lines) + "\n"

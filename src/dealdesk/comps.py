@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
+from ._files import open_text
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -271,12 +272,6 @@ def run_valuation(
 # Loading
 # ---------------------------------------------------------------------------
 
-def _open(source):
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        return open(source, newline="", encoding="utf-8"), True
-    return source, False
-
-
 def _split_unit(header: str) -> tuple[str, str]:
     # "ev_per_unit (USD/unit)" -> ("ev_per_unit", "USD/unit")
     name = header.strip()
@@ -293,8 +288,7 @@ def load_comparables(source) -> list[Comparable]:
     ratio fields populate the multiples; any other numeric column is an
     industry metric, with an optional unit in parentheses in the header.
     """
-    stream, close = _open(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         out = []
         for row in reader:
@@ -328,15 +322,11 @@ def load_comparables(source) -> list[Comparable]:
                 )
             )
         return out
-    finally:
-        if close:
-            stream.close()
 
 
 def load_target(source) -> TargetProfile:
     """Read the single-row target CSV: name, net_debt, shares_outstanding, metrics."""
-    stream, close = _open(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         rows = list(reader)
         if len(rows) != 1:
@@ -357,9 +347,6 @@ def load_target(source) -> TargetProfile:
             net_debt=float(row["net_debt"]),
             shares_outstanding=float(row["shares_outstanding"]),
         )
-    finally:
-        if close:
-            stream.close()
 
 
 def load_ranges(source) -> dict[str, list[MultipleRange]]:
@@ -370,18 +357,18 @@ def load_ranges(source) -> dict[str, list[MultipleRange]]:
     equity-basis bands.
     """
     parser = configparser.ConfigParser()
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        read = parser.read(source)
-        if not read:
-            raise ConfigInvalidError(f"cannot read ranges config {source!r}")
-    else:
-        parser.read_file(source)
+    try:
+        with open_text(source) as stream:
+            parser.read_file(stream)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigInvalidError(f"cannot parse ranges config: {exc}") from exc
     out: dict[str, list[MultipleRange]] = {}
-    for section in parser.sections():
+    for section, entries in sections.items():
         if section not in ("trading", "transaction"):
             raise ConfigInvalidError(f"unknown ranges section {section!r}")
         bands = []
-        for metric, raw in parser.items(section):
+        for metric, raw in entries:
             parts = raw.split()
             basis = "enterprise"
             if len(parts) == 2 and parts[1].lower() == "equity":

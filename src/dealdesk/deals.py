@@ -10,6 +10,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
+from ._files import open_text
 from .errors import EmptyAfterFilterError, HeaderMismatchError
 from .waves import CountSeries
 
@@ -100,13 +101,7 @@ def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
     Exact duplicate rows stay in the output but raise a warning, since
     merging them silently could hide source errors.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         header = reader.fieldnames or []
         missing = tuple(c for c in REQUIRED_COLUMNS if c not in header)
@@ -130,9 +125,6 @@ def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
             seen.add(key)
             records.append(record)
         return ParseResult(records=tuple(records), malformed=tuple(malformed), warnings=tuple(warnings))
-    finally:
-        if close:
-            stream.close()
 
 
 def _parse_row(row: dict, sector_label: Optional[str]) -> DealRecord:
@@ -164,13 +156,7 @@ def _parse_row(row: dict, sector_label: Optional[str]) -> DealRecord:
 
 def serialize_deals(records: Sequence[DealRecord], dest) -> None:
     """Write records back in the input schema; absent fields print n/a."""
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        stream = open(dest, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(REQUIRED_COLUMNS)
         for r in records:
@@ -188,9 +174,6 @@ def serialize_deals(records: Sequence[DealRecord], dest) -> None:
                 r.seller_country or "n/a",
                 value,
             ])
-    finally:
-        if close:
-            stream.close()
 
 
 Bucketing = Literal["month", "quarter", "year"]

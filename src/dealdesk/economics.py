@@ -10,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import open_text
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
 
@@ -152,13 +153,7 @@ def abnormal_returns(s: ReturnSeries, fit: MarketModelFit) -> list[float]:
 
 def load_return_series(source) -> ReturnSeries:
     """Read a return series from CSV with columns date, firm_return, market_return."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         dates, firm, market = [], [], []
         for row in reader:
@@ -166,6 +161,3 @@ def load_return_series(source) -> ReturnSeries:
             firm.append(float(row["firm_return"]))
             market.append(float(row["market_return"]))
         return ReturnSeries(dates=tuple(dates), firm_returns=tuple(firm), market_returns=tuple(market))
-    finally:
-        if close:
-            stream.close()

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import open_text
 from .errors import (
     ConfigInvalidError,
     HeaderMismatchError,
@@ -179,13 +180,7 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
     optional intercept flag must be declared; declared columns missing
     from the header are reported together.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         roles: dict[str, tuple[str, ...]] = {}
         include_intercept = True
         body_lines: list[str] = []
@@ -247,6 +242,3 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
             include_intercept=include_intercept,
             names={role: roles[role] for role in _BLOCK_LIMITS},
         )
-    finally:
-        if close:
-            stream.close()

@@ -21,9 +21,8 @@ import tempfile
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import __version__
 from .comps import ValuationSummary
-
-VERSION = "0.1.0"
 
 
 def round_millions(x: float) -> float:
@@ -134,7 +133,7 @@ def file_digest(path) -> str:
 def provenance(inputs: Mapping[str, str], seed: Optional[int] = None) -> dict:
     """Input digests plus run parameters; no timestamps, so reruns match."""
     block = {
-        "version": VERSION,
+        "version": __version__,
         "inputs": {name: file_digest(path) for name, path in sorted(inputs.items())},
     }
     if seed is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
+from ._files import open_text
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -421,13 +422,7 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
     Columns are matched to field names by header; blank cells are absent.
     Dates must be ISO-8601. ``source`` is a path or an open text stream.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         known = {f.name for f in fields(FinancialSnapshot)} - {"notes"}
         out = []
@@ -447,9 +442,6 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
                     kwargs[key] = float(raw)
             out.append(FinancialSnapshot(**kwargs).ensure_valid())
         return out
-    finally:
-        if close:
-            stream.close()
 
 
 def load_period_statements(source) -> list[PeriodStatement]:
@@ -458,13 +450,7 @@ def load_period_statements(source) -> list[PeriodStatement]:
     Fixed columns: period_label, period_kind, start_date, end_date. Every
     remaining column is a line item; blank cells are omitted from the map.
     """
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         fixed = {"period_label", "period_kind", "start_date", "end_date"}
         out = []
@@ -484,6 +470,3 @@ def load_period_statements(source) -> list[PeriodStatement]:
                 )
             )
         return out
-    finally:
-        if close:
-            stream.close()

@@ -15,6 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from ._files import open_text
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
@@ -237,40 +238,22 @@ def analyze(s: CountSeries, window: int, max_lag: int, degree: int) -> WaveDiagn
 
 def load_count_series(source) -> CountSeries:
     """Read (period,value) rows."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        stream = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = source
-    try:
+    with open_text(source) as stream:
         reader = csv.DictReader(stream)
         periods, values = [], []
         for row in reader:
             periods.append(row["period"].strip())
             values.append(float(row["value"]))
         return CountSeries(timestamps=tuple(periods), values=tuple(values))
-    finally:
-        if close:
-            stream.close()
 
 
 def save_count_series(s: CountSeries, dest) -> None:
     """Write (period,value) rows; inverse of load_count_series."""
-    close = False
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        stream = open(dest, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        stream = dest
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["period", "value"])
         for period, value in zip(s.timestamps, s.values):
             writer.writerow([period, repr(value)])
-    finally:
-        if close:
-            stream.close()
 
 
 def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> list[list[str]]:

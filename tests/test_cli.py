@@ -122,6 +122,30 @@ def test_missing_input_exits_2_with_diagnostic(capsys):
     assert "/nonexistent.csv" in diagnostic["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["value", "--comps", str(DATA), "--target", str(DATA / "target.csv"),
+     "--ranges", str(DATA / "ranges.ini")],
+    ["waves", "--deals", str(DATA)],
+    ["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
+     "--ranges", "{tmp}/no_header.ini"],
+    ["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
+     "--ranges", "{tmp}/duplicate_key.ini"],
+    VALUE_ARGS + ["--output", "{tmp}/missing/report.json"],
+    VALUE_ARGS + ["--output", "{tmp}"],
+    ["simulate-wave", "--series-out", "{tmp}/missing/series.csv"],
+    ["simulate-wave", "--plot-out", "{tmp}/missing/plot.csv"],
+    ["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/missing/s.csv"],
+], ids=["comps-dir", "deals-dir", "ranges-no-header", "ranges-duplicate-key",
+        "output-missing-dir", "output-is-dir", "series-out-missing-dir", "plot-out-missing-dir",
+        "ingest-series-out-missing-dir"])
+def test_unusable_path_exits_2_with_one_diagnostic(args, tmp_path, capsys):
+    (tmp_path / "no_header.ini").write_text("ltm_ebitda = 9.5..10.5\n")
+    (tmp_path / "duplicate_key.ini").write_text("[trading]\nx = 1..2\nx = 3..4\n")
+    code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigInvalid"
+
+
 def test_bad_weights_exit_2(capsys):
     # = syntax keeps argparse from eating the leading minus
     for weights in ("1", "a,b", "-1,2", "0,0"):
@@ -149,27 +173,6 @@ def test_argparse_rejects_unknown_choice():
     with pytest.raises(SystemExit) as exc_info:
         main(VALUE_ARGS + ["--format", "xml"])
     assert exc_info.value.code == 2
-
-
-# --- threads ---------------------------------------------------------------------
-
-def test_threads_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("DEALDESK_THREADS", "4")
-    payload = run_json(VALUE_ARGS, capsys)
-    assert payload["kind"] == "valuation"
-
-
-def test_threads_env_invalid_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("DEALDESK_THREADS", "many")
-    code, _, err = run_main(VALUE_ARGS, capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "ConfigInvalid"
-
-
-def test_threads_flag_must_be_positive(capsys):
-    code, _, err = run_main(["--threads", "0"] + VALUE_ARGS, capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "ConfigInvalid"
 
 
 # --- event-study ------------------------------------------------------------------

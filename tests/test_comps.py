@@ -309,3 +309,9 @@ def test_load_ranges_rejects_unknown_section_and_bad_bands():
         load_ranges(io.StringIO("[trading]\nx = 5..2\n"))
     with pytest.raises(ConfigInvalidError):
         load_ranges(io.StringIO(""))
+    with pytest.raises(ConfigInvalidError, match="no section headers"):
+        load_ranges(io.StringIO("x = 1..2\n"))
+    with pytest.raises(ConfigInvalidError, match="already exists"):
+        load_ranges(io.StringIO("[trading]\nx = 1..2\nx = 3..4\n"))
+    with pytest.raises(ConfigInvalidError, match="interpolation"):
+        load_ranges(io.StringIO("[trading]\nx = 1..2 %(y)s\n"))
