@@ -1,10 +1,11 @@
-"""The one way every loader and writer opens its source or destination."""
+"""The one way every loader and writer opens its source or destination,
+and the one way a CSV loader checks its header."""
 from __future__ import annotations
 
 import contextlib
 import os
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, HeaderMismatchError
 
 
 @contextlib.contextmanager
@@ -26,3 +27,13 @@ def open_text(source, mode: str = "r"):
         raise ConfigInvalidError(f"cannot open {os.fsdecode(source)}: {exc.strerror}") from exc
     with stream:
         yield stream
+
+
+def require_columns(reader, required, what: str) -> None:
+    """Raise ``HeaderMismatchError`` naming each ``required`` column absent
+    from the header of ``reader`` (a ``csv.DictReader``), so a loader never
+    indexes a row by a column the file does not have."""
+    header = reader.fieldnames or ()
+    missing = tuple(c for c in required if c not in header)
+    if missing:
+        raise HeaderMismatchError(f"{what} lacks required columns: {', '.join(missing)}", missing=missing)

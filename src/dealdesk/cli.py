@@ -295,7 +295,7 @@ def _analysis(
     text lines, and the smoothed series and fit that the plot rows need.
     """
     d = waves.analyze(series, params["window"], params["max_lag"], params["degree"])
-    smoothed = waves.moving_average(series, params["window"])
+    smoothed = d.smoothed
     rms = waves.rms_by_degree(smoothed, [k for k in range(1, 9) if k < len(smoothed)])
     blocks = {
         "diagnostics": {
@@ -452,13 +452,13 @@ def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
         payload, text = _COMMANDS[config.command](config)
+        rendered = report.canonical_json(payload) if config.format == "json" else text
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return 2
     except (DealdeskError, ValueError) as exc:
         _emit_error(exc)
         return 1
-    rendered = report.canonical_json(payload) if config.format == "json" else text
     if config.output:
         report.write_atomic(config.output, rendered)
     else:

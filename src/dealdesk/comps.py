@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
-from ._files import open_text
+from ._files import open_text, require_columns
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -290,6 +290,7 @@ def load_comparables(source) -> list[Comparable]:
     """
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
+        require_columns(reader, ("name", "kind"), "comparables CSV")
         out = []
         for row in reader:
             ratio_kwargs: dict[str, float] = {}

@@ -10,8 +10,8 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
-from ._files import open_text
-from .errors import EmptyAfterFilterError, HeaderMismatchError
+from ._files import open_text, require_columns
+from .errors import EmptyAfterFilterError
 from .waves import CountSeries
 
 REQUIRED_COLUMNS = (
@@ -103,12 +103,7 @@ def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
     """
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
-        header = reader.fieldnames or []
-        missing = tuple(c for c in REQUIRED_COLUMNS if c not in header)
-        if missing:
-            raise HeaderMismatchError(
-                f"deal CSV lacks required columns: {', '.join(missing)}", missing=missing
-            )
+        require_columns(reader, REQUIRED_COLUMNS, "deal CSV")
         records: list[DealRecord] = []
         malformed: list[MalformedRow] = []
         warnings: list[str] = []

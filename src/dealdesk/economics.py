@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text
+from ._files import open_text, require_columns
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
 
@@ -155,6 +155,7 @@ def load_return_series(source) -> ReturnSeries:
     """Read a return series from CSV with columns date, firm_return, market_return."""
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
+        require_columns(reader, ("date", "firm_return", "market_return"), "return series CSV")
         dates, firm, market = [], [], []
         for row in reader:
             dates.append(date.fromisoformat(row["date"].strip()))

@@ -73,7 +73,10 @@ class IllConditionedError(DealdeskError):
     code = "IllConditioned"
 
 
-class HeaderMismatchError(DealdeskError):
+class HeaderMismatchError(DealdeskError, ValueError):
+    """A CSV lacks columns its loader needs. A ValueError too, like the
+    other ways a file's contents can be unreadable (a bad number or date)."""
+
     code = "HeaderMismatch"
 
     def __init__(self, message: str, missing: tuple[str, ...] = ()):

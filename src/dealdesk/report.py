@@ -142,8 +142,11 @@ def provenance(inputs: Mapping[str, str], seed: Optional[int] = None) -> dict:
 
 
 def canonical_json(payload: Mapping) -> str:
-    """Stable serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Stable serialization: sorted keys, fixed separators, trailing newline.
+
+    NaN and infinities raise ValueError: they are not valid JSON.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def write_atomic(path, data: str) -> None:

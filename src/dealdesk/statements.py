@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import open_text
+from ._files import open_text, require_columns
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -452,7 +452,8 @@ def load_period_statements(source) -> list[PeriodStatement]:
     """
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
-        fixed = {"period_label", "period_kind", "start_date", "end_date"}
+        fixed = ("period_label", "period_kind", "start_date", "end_date")
+        require_columns(reader, fixed, "period statement CSV")
         out = []
         for row in reader:
             items = {

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dealdesk import waves
 from dealdesk.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -167,6 +168,37 @@ def test_nonpositive_target_metric_exits_1(tmp_path, capsys):
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "NonPositiveMetric"
+
+
+def one_diagnostic(err):
+    """The single JSON object on stderr; anything else there (a traceback, a warning) fails."""
+    diagnostic, end = json.JSONDecoder().raw_decode(err)
+    assert err[end:] == "\n", err
+    return diagnostic
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args,files,error", [
+    (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
+      "--ranges", str(DATA / "ranges.ini")],
+     {"comps.csv": "kind,ev_to_ebitda\ntrading,9\n"}, "HeaderMismatch"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
+     {"returns.csv": "date,firm_return\n2005-01-03,0.01\n2005-01-04,0.02\n"
+                     "2005-01-05,0.0\n2005-01-06,0.01\n"}, "HeaderMismatch"),
+    (["value", "--comps", str(DATA / "comps.csv"), "--target", "{tmp}/target.csv",
+      "--ranges", str(DATA / "ranges.ini")],
+     {"target.csv": "name,net_debt,shares_outstanding,ltm_ebitda,fy2006_ebitda,annual_capacity\n"
+                    "Sample Target,250,55.7,88,102,nan\n"}, "ValueError"),
+    (["simulate-wave", "--trend", "exponential", "--params", "1,1000", "--length", "50"],
+     {}, "ValueError"),
+], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
+        "overflowing-trend"])
+def test_bad_input_exits_1_with_one_diagnostic(args, files, error, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
+    assert code == 1 and out == ""
+    assert one_diagnostic(err)["error"] == error
 
 
 def test_argparse_rejects_unknown_choice():
@@ -350,6 +382,22 @@ def test_simulate_wave_poisson_counts(capsys):
         capsys,
     )
     assert payload["noise"] == "poisson"
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-wave", "--length", "300", "--seed", "2"],
+    ["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--window", "3", "--max-lag", "4",
+     "--degree", "2"],
+])
+def test_wave_reports_smooth_and_fit_once(args, monkeypatch, capsys):
+    calls = {"moving_average": 0, "fit_polynomial": 0}
+    for name in calls:
+        def counted(*a, _name=name, _fn=getattr(waves, name), **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(waves, name, counted)
+    run_json(args, capsys)
+    assert calls == {"moving_average": 1, "fit_polynomial": 1}
 
 
 # --- installed entry point -----------------------------------------------------------------

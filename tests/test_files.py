@@ -1,4 +1,5 @@
-"""Path-or-stream opening: every loader and writer goes through one helper."""
+"""Path-or-stream opening and CSV header checks: every loader and writer
+goes through one helper for each."""
 import io
 import pathlib
 import re
@@ -8,6 +9,7 @@ import pytest
 from dealdesk import (
     ConfigInvalidError,
     CountSeries,
+    HeaderMismatchError,
     load_comparables,
     load_count_series,
     load_period_statements,
@@ -65,3 +67,24 @@ def test_path_is_opened_as_utf8_and_closed(tmp_path):
 def test_only_the_helper_module_tells_paths_from_streams():
     users = sorted(p.name for p in SRC.glob("*.py") if "__fspath__" in p.read_text(encoding="utf-8"))
     assert users == ["_files.py"]
+
+
+# Loaders that index rows by column name: a CSV lacking some of the columns
+# each needs, and the columns it lacks. parse_deals has its own test.
+HEADERS = {
+    "load_comparables": (load_comparables, "kind,ev_to_ebitda\ntrading,9\n", ("name",)),
+    "load_return_series": (load_return_series, "date,firm_return\n2005-01-03,0.01\n",
+                           ("market_return",)),
+    "load_count_series": (load_count_series, "period,count\n1,2\n", ("value",)),
+    "load_period_statements": (load_period_statements, "period_label,revenue\nFY2005,400\n",
+                               ("period_kind", "start_date", "end_date")),
+}
+
+
+@pytest.mark.parametrize("name", HEADERS)
+def test_missing_columns_raise_header_mismatch(name):
+    loader, text, missing = HEADERS[name]
+    with pytest.raises(HeaderMismatchError) as exc_info:
+        loader(io.StringIO(text))
+    assert exc_info.value.missing == missing
+    assert isinstance(exc_info.value, ValueError)

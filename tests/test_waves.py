@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from dealdesk import waves
 from dealdesk import (
     CountSeries,
     IllConditionedError,
@@ -87,6 +88,27 @@ def test_generate_validation():
         TrendModel(kind="ideal", parameters=(1.0,), noise_sigma=-1.0)
     with pytest.raises(ValueError):
         TrendModel(kind="ideal", parameters=(1.0,), noise="cauchy")
+
+
+def test_generate_series_boxes_like_elementwise_conversion():
+    model = TrendModel(kind="linear", parameters=(0.5, 3.0), noise_sigma=2.0, seed=29)
+    s = generate_series(model, 500)
+    t = np.arange(1, 501, dtype=float)
+    values = np.maximum(model.trend(t) + np.random.default_rng(29).normal(0.0, 2.0, 500), 0.0)
+    assert s.timestamps == tuple(str(int(x)) for x in t)
+    assert s.values == tuple(float(v) for v in values)
+    assert all(type(v) is float for v in s.values)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,parameters", [
+    ("exponential", (1.0, 1000.0)),
+    ("exponential", (1.0, 20.0)),
+    ("quadratic", (1e306, 0.0, 0.0)),
+])
+def test_generate_series_refuses_an_overflowing_trend_without_warnings(kind, parameters):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        generate_series(TrendModel(kind=kind, parameters=parameters), 50)
 
 
 def test_derive_seeds_deterministic_and_distinct():
@@ -272,6 +294,39 @@ def test_fit_polynomial_errors():
         fit_polynomial(s, 3)  # needs more than degree points
 
 
+def _series(x):
+    return CountSeries(tuple(str(i) for i in range(1, len(x) + 1)), tuple(float(v) for v in x))
+
+
+@pytest.mark.parametrize("n", [13, 50, 2048, 2 * waves._QR_BLOCK_ROWS + 1],
+                         ids=["top+1", "50", "2048", "2-blocks+1"])
+@pytest.mark.parametrize("shape", ["linear", "exponential", "noisy"])
+def test_rms_by_degree_matches_separate_fits(n, shape):
+    t = np.arange(1, n + 1, dtype=float)
+    x = {
+        "linear": 2.0 * t + 5.0,
+        "exponential": 3.0 * np.exp(5.0 * t / n),
+        "noisy": np.random.default_rng(n).normal(0.0, 1.0, n).cumsum(),
+    }[shape]
+    s = _series(x)
+    rms = rms_by_degree(s, range(0, 13))
+    assert list(rms) == list(range(0, 13))
+    # an exact fit leaves only rounding, which scales with the data
+    atol = 1e-12 * float(np.abs(x).max())
+    for d, value in rms.items():
+        assert value == pytest.approx(fit_polynomial(s, d).rms_error, rel=1e-9, abs=atol), d
+
+
+def test_rms_by_degree_refuses_what_fit_polynomial_refuses():
+    s = CountSeries(("1", "2", "3"), (1.0, 2.0, 3.0))
+    for degrees, error in (([1, -1], ValueError), ([13], IllConditionedError), ([1, 3], TooShortError)):
+        with pytest.raises(error):
+            rms_by_degree(s, degrees)
+        with pytest.raises(error):
+            fit_polynomial(s, degrees[-1])
+    assert rms_by_degree(s, []) == {}
+
+
 def test_degree_twelve_on_long_series_is_accepted():
     rng = np.random.default_rng(211)
     x = rng.normal(10, 1, 300)
@@ -291,6 +346,11 @@ def test_analyze_composes_the_pieces():
     assert d.autocorrelation == autocorrelation(smoothed, 24)
     assert (d.dominant_period, d.power_fraction) == dominant_period(smoothed)
     assert d.polynomial_fit.coefficients == fit_polynomial(smoothed, 5).coefficients
+
+
+def test_analyze_carries_the_series_it_measured():
+    s = generate_series(TrendModel(kind="ideal", parameters=(50.0,), noise_sigma=5.0, seed=17), 64)
+    assert analyze(s, window=6, max_lag=4, degree=2).smoothed == moving_average(s, 6)
 
 
 def test_save_load_round_trip_preserves_floats():
