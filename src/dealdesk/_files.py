@@ -29,11 +29,11 @@ def open_text(source, mode: str = "r"):
         yield stream
 
 
-def require_columns(reader, required, what: str) -> None:
+def require_columns(header, required, what: str) -> None:
     """Raise ``HeaderMismatchError`` naming each ``required`` column absent
-    from the header of ``reader`` (a ``csv.DictReader``), so a loader never
-    indexes a row by a column the file does not have."""
-    header = reader.fieldnames or ()
+    from ``header`` (the first CSV row, or ``None`` for an empty file), so
+    a loader never indexes a row by a column the file does not have."""
+    header = header or ()
     missing = tuple(c for c in required if c not in header)
     if missing:
         raise HeaderMismatchError(f"{what} lacks required columns: {', '.join(missing)}", missing=missing)

@@ -290,7 +290,7 @@ def load_comparables(source) -> list[Comparable]:
     """
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
-        require_columns(reader, ("name", "kind"), "comparables CSV")
+        require_columns(reader.fieldnames, ("name", "kind"), "comparables CSV")
         out = []
         for row in reader:
             ratio_kwargs: dict[str, float] = {}

@@ -7,6 +7,8 @@ records up into count and total-value series for the wave diagnostics.
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
@@ -32,9 +34,12 @@ _MONTHS = {
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 _MONTH_ABBREV = {v: k.capitalize() for k, v in _MONTHS.items()}
+# Announcement years a real deal list can hold. The bound keeps one
+# mistyped date from zero-filling millions of buckets in aggregate_deals.
+YEAR_RANGE = (1900, 2100)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DealRecord:
     """One announced transaction."""
 
@@ -73,8 +78,9 @@ class ParseResult:
     warnings: tuple[str, ...] = ()
 
 
-def _absent(cell: Optional[str]) -> bool:
-    return cell is None or cell.strip().lower() in _ABSENT
+def _absent(cell: str) -> bool:
+    # cells arrive stripped
+    return cell.lower() in _ABSENT
 
 
 def _parse_month_year(text: str) -> tuple[int, int]:
@@ -84,68 +90,108 @@ def _parse_month_year(text: str) -> tuple[int, int]:
     month = _MONTHS.get(parts[0][:3].lower())
     if month is None:
         raise ValueError(f"unknown month {parts[0]!r}")
-    return int(parts[1]), month
+    digits = parts[1]
+    year = int(digits)  # a non-numeric year fails here, with int's message
+    lo, hi = YEAR_RANGE
+    if not (len(digits) == 4 and digits.isascii() and digits.isdigit() and lo <= year <= hi):
+        raise ValueError(f"year must be four digits in {lo}..{hi}, got {digits!r}")
+    return year, month
 
 
 def _parse_number(text: str) -> float:
     # table exports keep thousands separators ("11,850.0")
-    return float(text.replace(",", "").strip())
+    number = float(text.replace(",", "").strip())
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return number
 
 
 def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
     """Read a deal-list CSV.
 
-    "n/a", "-" and blank cells are absent; dates read as "Apr 2012";
-    stakes above 1 are percents and are divided by 100. Rows that fail to
-    parse land in the diagnostics with their row number and reason.
-    Exact duplicate rows stay in the output but raise a warning, since
-    merging them silently could hide source errors.
+    "n/a", "-" and blank cells are absent; dates read as "Apr 2012", with
+    the year in ``YEAR_RANGE``; stakes above 1 are percents and are
+    divided by 100; numbers must be finite. Rows that fail to parse land
+    in the diagnostics with their row number and reason. Exact duplicate
+    rows (equal after stripping each cell) stay in the output but raise a
+    warning, since merging them silently could hide source errors.
+
+    Rows read as ``csv.DictReader`` reads them: blank lines are skipped
+    and not numbered, missing trailing cells are absent, cells past the
+    header are ignored, and a repeated column name reads its last cell.
     """
     with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        require_columns(reader, REQUIRED_COLUMNS, "deal CSV")
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        require_columns(header, REQUIRED_COLUMNS, "deal CSV")
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}
+        fields = operator.itemgetter(*(column[name] for name in REQUIRED_COLUMNS))
+        # duplicate key: one cell per non-empty column name, the last
+        # one when a name repeats, as in a csv.DictReader row
+        key = operator.itemgetter(*sorted(i for name, i in column.items() if name))
+        months: dict[str, tuple[int, int]] = {}
         records: list[DealRecord] = []
         malformed: list[MalformedRow] = []
         warnings: list[str] = []
         seen: set[tuple] = set()
-        for number, row in enumerate(reader, start=2):
-            try:
-                record = _parse_row(row, sector_label)
-            except ValueError as exc:
-                malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=dict(row)))
+        number = 1
+        for row in reader:
+            if not row:
                 continue
-            key = tuple(sorted((k, (v or "").strip()) for k, v in row.items() if k))
-            if key in seen:
+            number += 1
+            cells = list(map(str.strip, row))
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            try:
+                record = _parse_row(fields(cells), months, sector_label)
+            except ValueError as exc:
+                malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=_raw(header, row)))
+                continue
+            row_key = key(cells)
+            if row_key in seen:
                 warnings.append(f"row {number}: exact duplicate of an earlier row, kept")
-            seen.add(key)
+            seen.add(row_key)
             records.append(record)
         return ParseResult(records=tuple(records), malformed=tuple(malformed), warnings=tuple(warnings))
 
 
-def _parse_row(row: dict, sector_label: Optional[str]) -> DealRecord:
-    announced = _parse_month_year((row.get("announced_date") or "").strip())
-    required = {}
-    for name in ("target", "target_country", "bidder", "bidder_country"):
-        cell = (row.get(name) or "").strip()
+def _raw(header: list[str], row: list[str]) -> dict:
+    """``row`` as ``csv.DictReader`` gives it: extra cells listed under
+    ``None``, missing ones ``None``."""
+    raw = dict(zip(header, row))
+    if len(row) > len(header):
+        raw[None] = row[len(header):]
+    for name in header[len(row):]:
+        raw[name] = None
+    return raw
+
+
+def _parse_row(fields: tuple[str, ...], months: dict, sector_label: Optional[str]) -> DealRecord:
+    date, target, stake, target_country, bidder, bidder_country, seller, seller_country, value = fields
+    announced = months.get(date)
+    if announced is None:
+        announced = months[date] = _parse_month_year(date)
+    for name, cell in (("target", target), ("target_country", target_country),
+                       ("bidder", bidder), ("bidder_country", bidder_country)):
         if _absent(cell):
             raise ValueError(f"required field {name} is blank")
-        required[name] = cell
-    stake = None
-    if not _absent(row.get("stake")):
-        stake = _parse_number(row["stake"])
-        if stake > 1.0:
-            stake /= 100.0
-    value = None if _absent(row.get("value_usdm")) else _parse_number(row["value_usdm"])
-    seller = None if _absent(row.get("seller")) else row["seller"].strip()
-    seller_country = None if _absent(row.get("seller_country")) else row["seller_country"].strip()
+    stake_pct = None
+    if not _absent(stake):
+        stake_pct = _parse_number(stake)
+        if stake_pct > 1.0:
+            stake_pct /= 100.0
     return DealRecord(
         announced=announced,
-        stake_pct=stake,
-        seller=seller,
-        seller_country=seller_country,
-        value_usdm=value,
+        target=target,
+        target_country=target_country,
+        bidder=bidder,
+        bidder_country=bidder_country,
+        stake_pct=stake_pct,
+        seller=None if _absent(seller) else seller,
+        seller_country=None if _absent(seller_country) else seller_country,
+        value_usdm=None if _absent(value) else _parse_number(value),
         sector=sector_label,
-        **required,
     )
 
 

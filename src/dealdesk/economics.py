@@ -155,7 +155,7 @@ def load_return_series(source) -> ReturnSeries:
     """Read a return series from CSV with columns date, firm_return, market_return."""
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
-        require_columns(reader, ("date", "firm_return", "market_return"), "return series CSV")
+        require_columns(reader.fieldnames, ("date", "firm_return", "market_return"), "return series CSV")
         dates, firm, market = [], [], []
         for row in reader:
             dates.append(date.fromisoformat(row["date"].strip()))

@@ -453,7 +453,7 @@ def load_period_statements(source) -> list[PeriodStatement]:
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         fixed = ("period_label", "period_kind", "start_date", "end_date")
-        require_columns(reader, fixed, "period statement CSV")
+        require_columns(reader.fieldnames, fixed, "period statement CSV")
         out = []
         for row in reader:
             items = {

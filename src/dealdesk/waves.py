@@ -295,7 +295,7 @@ def load_count_series(source) -> CountSeries:
     """Read (period,value) rows."""
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
-        require_columns(reader, ("period", "value"), "count series CSV")
+        require_columns(reader.fieldnames, ("period", "value"), "count series CSV")
         periods, values = [], []
         for row in reader:
             periods.append(row["period"].strip())

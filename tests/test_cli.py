@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -329,6 +330,36 @@ def test_ingest_value_measure(tmp_path, capsys):
     series = load_count_series(series_out)
     assert payload["value_exclusions"] == 7
     assert 11850.0 <= max(series.values) < 60000.0
+
+
+DEAL_HEADER = "announced_date,target,stake,target_country,bidder,bidder_country,seller,seller_country,value_usdm\n"
+
+
+def ingest_one_bad_row(tmp_path, capsys, bad_row, *extra):
+    deals_csv = tmp_path / "deals.csv"
+    deals_csv.write_text(DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,10\n" + bad_row + "\n")
+    series_out = tmp_path / "series.csv"
+    payload = run_json(["ingest", "--deals", str(deals_csv), *extra, "--series-out", str(series_out)], capsys)
+    return payload, series_out.read_text()
+
+
+@pytest.mark.parametrize("date", ["Feb 52012", "Jan 2012000", "Mar 2_012"])
+def test_ingest_implausible_year_is_one_malformed_row(date, tmp_path, capsys):
+    t0 = time.perf_counter()
+    payload, series = ingest_one_bad_row(tmp_path, capsys, f"{date},T2,50,CH,B,DE,n/a,n/a,10")
+    assert time.perf_counter() - t0 < 0.5
+    assert payload["records"] == 1 and payload["buckets"] == 1
+    (bad,) = payload["malformed"]
+    assert bad["row_number"] == 3 and "year" in bad["reason"]
+    assert series.splitlines()[1:] == ["2012-01,1.0"]
+
+
+@pytest.mark.parametrize("cells", ["50,CH,B,DE,n/a,n/a,nan", "inf,CH,B,DE,n/a,n/a,10"])
+def test_ingest_non_finite_number_is_one_malformed_row(cells, tmp_path, capsys):
+    payload, series = ingest_one_bad_row(tmp_path, capsys, f"Feb 2012,T2,{cells}", "--measure", "value")
+    (bad,) = payload["malformed"]
+    assert "finite" in bad["reason"]
+    assert series.splitlines()[1:] == ["2012-01,10.0"]
 
 
 # --- simulate-wave ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Deal-list parsing, serialization round trip, and bucketing."""
+import csv
 import io
 import pathlib
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from dealdesk import (
     parse_deals,
     serialize_deals,
 )
+from dealdesk.deals import YEAR_RANGE, _parse_month_year, _parse_number
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "swiss_deals_2012.csv"
 
@@ -119,6 +122,217 @@ def test_record_validation():
     with pytest.raises(ValueError):
         DealRecord(announced=(2012, 1), target="T", target_country="CH", bidder="B",
                    bidder_country="DE", value_usdm=0.0)
+
+
+# --- year bound and finite numbers ---------------------------------------------
+
+@pytest.mark.parametrize("year", ["52012", "2012000", "2_012", "+2012", "0212", "12",
+                                  str(YEAR_RANGE[0] - 1), str(YEAR_RANGE[1] + 1)])
+def test_implausible_year_is_malformed(year):
+    result = parse_text(HEADER + "Jan 2012,T,n/a,CH,B,DE,n/a,n/a,5\n" + f"Feb {year},T2,n/a,CH,B,DE,n/a,n/a,5\n")
+    assert [r.target for r in result.records] == ["T"]
+    (bad,) = result.malformed
+    assert bad.row_number == 3
+    assert "year" in bad.reason and repr(year) in bad.reason
+    assert bad.raw["announced_date"] == f"Feb {year}"
+
+
+def test_year_range_ends_are_accepted():
+    lo, hi = YEAR_RANGE
+    result = parse_text(HEADER + f"Jan {lo},T,n/a,CH,B,DE,n/a,n/a,5\n" + f"Dec {hi},T2,n/a,CH,B,DE,n/a,n/a,5\n")
+    assert [r.announced for r in result.records] == [(lo, 1), (hi, 12)]
+    assert result.malformed == ()
+
+
+def test_non_numeric_year_keeps_its_reason():
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        _parse_month_year("Apr 20x2")
+
+
+@pytest.mark.parametrize("column", ["stake", "value_usdm"])
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_cell_is_malformed(column, text):
+    cells = {"stake": "50", "value_usdm": "10"}
+    cells[column] = text
+    result = parse_text(HEADER + f"Apr 2012,T,{cells['stake']},CH,B,DE,n/a,n/a,{cells['value_usdm']}\n")
+    assert result.records == ()
+    (bad,) = result.malformed
+    assert "finite" in bad.reason and bad.raw[column] == text
+
+
+# --- the positional reader against csv.DictReader ------------------------------
+
+_REFERENCE_ABSENT = {"", "-", "n/a", "na"}
+
+
+def reference_parse(text, sector=None):
+    """parse_deals written over csv.DictReader rows, cell by cell: the
+    row semantics the positional reader must reproduce."""
+    records, malformed, warnings, seen = [], [], [], set()
+    for number, row in enumerate(csv.DictReader(io.StringIO(text)), start=2):
+        try:
+            record = _reference_record(row, sector)
+        except ValueError as exc:
+            malformed.append((number, str(exc), dict(row)))
+            continue
+        key = tuple(sorted((k, (v or "").strip()) for k, v in row.items() if k))
+        if key in seen:
+            warnings.append(f"row {number}: exact duplicate of an earlier row, kept")
+        seen.add(key)
+        records.append(record)
+    return records, malformed, warnings
+
+
+def _reference_record(row, sector):
+    def cell(name):
+        return (row.get(name) or "").strip()
+
+    def absent(name):
+        return cell(name).lower() in _REFERENCE_ABSENT
+
+    announced = _parse_month_year(cell("announced_date"))
+    for name in ("target", "target_country", "bidder", "bidder_country"):
+        if absent(name):
+            raise ValueError(f"required field {name} is blank")
+    stake = None if absent("stake") else _parse_number(cell("stake"))
+    if stake is not None and stake > 1.0:
+        stake /= 100.0
+    return DealRecord(
+        announced=announced,
+        target=cell("target"),
+        target_country=cell("target_country"),
+        bidder=cell("bidder"),
+        bidder_country=cell("bidder_country"),
+        stake_pct=stake,
+        seller=None if absent("seller") else cell("seller"),
+        seller_country=None if absent("seller_country") else cell("seller_country"),
+        value_usdm=None if absent("value_usdm") else _parse_number(cell("value_usdm")),
+        sector=sector,
+    )
+
+
+def assert_same_as_reference(text, sector=None):
+    records, malformed, warnings = reference_parse(text, sector)
+    result = parse_text(text, sector)
+    assert list(result.records) == records
+    assert [(m.row_number, m.reason, m.raw) for m in result.malformed] == malformed
+    assert list(result.warnings) == warnings
+    return result
+
+
+GOOD = "Apr 2012,T,50,CH,B,DE,S,US,10\n"
+
+
+def test_reader_matches_reference_on_short_and_long_rows():
+    result = assert_same_as_reference(
+        HEADER
+        + "Apr 2012,T,50,CH,B,DE\n"                   # seller, seller_country, value missing
+        + "Apr 2012,T,50,CH\n"                         # bidder missing: malformed, restval None
+        + GOOD.rstrip("\n") + ",extra,cells\n"        # restkey None holds the extras
+        + GOOD.rstrip("\n") + ",other\n"              # extras stay out of the duplicate key
+        + "Apr 2012,T,50,CH,B,n/a,S,US,10,extra\n"    # malformed with extras
+    )
+    assert len(result.records) == 3 and len(result.warnings) == 1
+    assert result.malformed[0].raw["bidder"] is None
+    assert result.malformed[1].raw[None] == ["extra"]
+
+
+def test_reader_matches_reference_across_blank_lines():
+    result = assert_same_as_reference(HEADER + "\n" + GOOD + "\n\n" + "Foo 2012,T,50,CH,B,DE,S,US,10\n\n" + GOOD)
+    assert result.malformed[0].row_number == 3
+    assert result.warnings == ("row 4: exact duplicate of an earlier row, kept",)
+
+
+def test_reader_matches_reference_on_quoted_commas_and_newlines():
+    result = assert_same_as_reference(
+        HEADER
+        + 'Apr 2012,"Target, Inc.",50,CH,"Bidder\nHoldings",DE,S,US,"1,200.5"\n'
+        + 'Apr 2012,"Target, Inc.",50,CH,"Bidder\nHoldings",DE,S,US,"1,200.5"\n'
+        + 'May 2012,"T",50,CH,"B",DE,S,US,"1,2,x"\n'
+    )
+    assert result.records[0].bidder == "Bidder\nHoldings"
+    assert len(result.warnings) == 1 and len(result.malformed) == 1
+
+
+def test_reader_matches_reference_on_whitespace_only_duplicates():
+    result = assert_same_as_reference(
+        HEADER + GOOD + " Apr 2012 , T ,50, CH,B ,DE,S,US , 10\n" + "Apr 2012,T,50,CH,B,DE,S,US,10 \n"
+    )
+    assert len(result.records) == 3 and len(result.warnings) == 2
+
+
+def test_reader_matches_reference_on_reordered_header():
+    header = "value_usdm,seller_country,seller,bidder_country,bidder,target_country,stake,target,announced_date\n"
+    result = assert_same_as_reference(header + "10,US,S,DE,B,CH,50,T,Apr 2012\n" + "x,US,S,DE,B,CH,50,T,Apr 2012\n")
+    assert result.records[0].value_usdm == 10.0 and result.records[0].target == "T"
+    assert result.malformed[0].raw["value_usdm"] == "x"
+
+
+def test_reader_matches_reference_on_extra_column():
+    header = HEADER.rstrip("\n") + ",deal_id\n"
+    result = assert_same_as_reference(
+        header + GOOD.rstrip("\n") + ",1\n" + GOOD.rstrip("\n") + ",2\n" + GOOD.rstrip("\n") + ",1\n"
+    )
+    assert len(result.warnings) == 1 and result.warnings[0].startswith("row 4:")
+
+
+def test_reader_matches_reference_on_repeated_and_empty_header_names():
+    header = "target," + HEADER.rstrip("\n") + ",,target\n"
+    result = assert_same_as_reference(
+        header
+        + "X," + GOOD.rstrip("\n") + ",a,T\n"     # the last "target" wins
+        + "Y," + GOOD.rstrip("\n") + ",b,T\n"     # differs only in the first "target" and the "" column
+        + "Z," + GOOD.rstrip("\n") + ",c\n"       # the last "target" is missing: blank, malformed
+        + "\n"
+    )
+    assert [r.target for r in result.records] == ["T", "T"]
+    assert len(result.warnings) == 1
+    assert result.malformed[0].raw["target"] is None and result.malformed[0].raw[""] == "c"
+
+
+def test_reader_matches_reference_on_fixture():
+    assert_same_as_reference(FIXTURE.read_text(encoding="utf-8"), sector="all")
+
+
+def generated_deal_list(rows, seed):
+    """A deal list shaped like the benchmark's: some malformed rows, some
+    exact copies, some without a value, cells with thousands separators."""
+    rng = random.Random(seed)
+    months = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+    countries = ("Switzerland", "Germany", "France", "United States")
+    broken = (
+        (0, "Foo 1999"), (0, "1999"), (0, "Mar 1899"), (4, "n/a"), (8, "about 12"),
+        (8, "nan"), (2, "0"), (2, "inf"),
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(HEADER.rstrip("\n").split(","))
+    clean = []
+    for i in range(rows):
+        u = rng.random()
+        if u < 0.01 and clean:
+            writer.writerow(rng.choice(clean))
+            continue
+        row = [
+            f"{rng.choice(months)} {rng.randrange(1980, 2020)}", f"Target {i}",
+            rng.choice(("n/a", str(rng.randrange(5, 101)))), rng.choice(countries),
+            f"Bidder {rng.randrange(500)}", rng.choice(countries),
+            rng.choice(("-", f"Seller {rng.randrange(50)}")), rng.choice(("-", *countries)),
+            rng.choice(("n/a", "-", "", f"{rng.uniform(1.0, 40_000.0):,.1f}")),
+        ]
+        if u < 0.03:
+            column, text = rng.choice(broken)
+            row[column] = text
+        else:
+            clean.append(row)
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def test_reader_matches_reference_on_generated_list():
+    result = assert_same_as_reference(generated_deal_list(5000, seed=3))
+    assert len(result.records) + len(result.malformed) == 5000
+    assert result.malformed and result.warnings
 
 
 # --- fixture ------------------------------------------------------------------
