@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import comps as comps_mod
 from . import deals as deals_mod
 from . import economics, regression, report, waves
+from ._files import parse_number
 from .errors import ConfigInvalidError, DealdeskError
 
 _TREND_DEFAULT_PARAMS = {
@@ -26,61 +25,72 @@ _TREND_DEFAULT_PARAMS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    paths: dict[str, str] = field(default_factory=dict)
-    output: Optional[str] = None
-    format: str = "json"
-    params: dict = field(default_factory=dict)
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigInvalidError`` where argparse would print usage and
+    exit, so every bad argument ends as one JSON diagnostic. Subparsers
+    are built from this class too."""
 
-    def validate(self) -> "RunConfig":
-        for name, path in self.paths.items():
-            if not os.path.exists(path):
-                raise ConfigInvalidError(f"--{name}: path does not exist: {path}")
-        if self.format not in ("json", "text"):
-            raise ConfigInvalidError(f"unknown format {self.format!r}")
-        p = self.params
-        # Destinations are checked here so a bad one fails before the computation runs.
-        for flag, path in (("output", self.output), ("series-out", p.get("series_out")),
-                           ("plot-out", p.get("plot_out"))):
-            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
-                raise ConfigInvalidError(f"--{flag}: not a file in an existing directory: {path}")
-        for key in ("window", "max_lag", "degree", "length", "estimation_periods", "event_window"):
-            if key in p and p[key] < (0 if key == "event_window" else 1):
-                raise ConfigInvalidError(f"--{key.replace('_', '-')} must be positive, got {p[key]}")
-        if "length" in p and p["length"] < 2:
-            raise ConfigInvalidError(f"--length must be >= 2, got {p['length']}")
-        if "estimation_periods" in p and p["estimation_periods"] < 3:
-            raise ConfigInvalidError("--estimation-periods must be >= 3")
-        if "sigma" in p and p["sigma"] < 0:
-            raise ConfigInvalidError(f"--sigma must be >= 0, got {p['sigma']}")
-        return self
+    def error(self, message):
+        raise ConfigInvalidError(message)
+
+
+def _checked(parse, ok=lambda value: True, wants: str = ""):
+    """An argparse ``type=``: ``parse`` the text, then refuse a value that
+    ``ok`` rejects. argparse names the flag in front of the message."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wants}, got {text!r}")
+        return value
+    return convert
+
+
+def _count(least: int):
+    return _checked(int, lambda n: n >= least, f"an integer >= {least}")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(parse_number(cell) for cell in text.split(","))
+
+
+def _is_destination(path: str) -> bool:
+    return not os.path.isdir(path) and os.path.isdir(os.path.dirname(os.path.abspath(path)))
+
+
+# Destinations are checked while parsing, so a bad one fails before any computation.
+_DESTINATION = _checked(str, _is_destination, "a file in an existing directory")
+# Flags that name an input file; their digests go into each report's provenance.
+_INPUT_FLAGS = ("comps", "target", "ranges", "returns", "data", "deals")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dealdesk",
         description="Batch M&A analytics: valuation, event studies, regressions and wave diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the report here (atomic); default stdout")
+    common.add_argument("--output", type=_DESTINATION, help="write the report here (atomic); default stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("value", parents=[common], help="comparable-based valuation of a target")
     p.add_argument("--comps", required=True, help="comparables CSV")
     p.add_argument("--target", required=True, help="single-row target CSV")
     p.add_argument("--ranges", required=True, help="multiple-ranges config (INI sections per method)")
-    p.add_argument("--weights", default="1,1", help="relative trading,transaction weights")
+    p.add_argument("--weights", default="1,1", help="relative trading,transaction weights",
+                   type=_checked(_numbers, lambda w: len(w) == 2 and min(w) >= 0 and sum(w) > 0,
+                                 "two non-negative numbers with a positive sum"))
 
     p = sub.add_parser("event-study", parents=[common], help="market-model fit and abnormal returns")
     p.add_argument("--returns", required=True, help="CSV with date,firm_return,market_return")
-    p.add_argument("--estimation-periods", type=int, default=60, dest="estimation_periods")
+    p.add_argument("--estimation-periods", type=_count(3), default=60, dest="estimation_periods")
     p.add_argument("--event-index", type=int, default=None, dest="event_index",
                    help="row index of the event (default: first row after the estimation window)")
-    p.add_argument("--event-window", type=int, default=1, dest="event_window",
+    p.add_argument("--event-window", type=_count(0), default=1, dest="event_window",
                    help="rows either side of the event index")
 
     p = sub.add_parser("regress", parents=[common], help="takeover-frequency regression")
@@ -93,90 +103,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=("counts", "value"), default="counts")
     p.add_argument("--target-country", dest="target_country", default=None)
     p.add_argument("--bidder-country", dest="bidder_country", default=None)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--max-lag", type=int, default=6, dest="max_lag")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--window", type=_count(1), default=3)
+    p.add_argument("--max-lag", type=_count(1), default=6, dest="max_lag")
+    p.add_argument("--degree", type=_count(1), default=3)
 
     p = sub.add_parser("simulate-wave", parents=[common], help="generate a synthetic series and analyze it")
     p.add_argument("--trend", choices=tuple(_TREND_DEFAULT_PARAMS), default="ideal")
-    p.add_argument("--params", default=None,
+    p.add_argument("--params", type=_checked(_numbers), default=None,
                    help="comma-separated trend coefficients (defaults per trend kind)")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_checked(parse_number, lambda s: s >= 0, "a number >= 0"), default=1.0)
     p.add_argument("--noise", choices=("gaussian", "poisson"), default="gaussian")
-    p.add_argument("--length", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=12)
-    p.add_argument("--max-lag", type=int, default=24, dest="max_lag")
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--length", type=_count(2), default=256)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--window", type=_count(1), default=12)
+    p.add_argument("--max-lag", type=_count(1), default=24, dest="max_lag")
+    p.add_argument("--degree", type=_count(1), default=5)
     p.add_argument("--no-clamp", action="store_true", help="allow negative values")
-    p.add_argument("--series-out", dest="series_out", help="write the raw series CSV here")
-    p.add_argument("--plot-out", dest="plot_out", help="write period,raw,smoothed,poly_fit CSV here")
+    p.add_argument("--series-out", dest="series_out", type=_DESTINATION, help="write the raw series CSV here")
+    p.add_argument("--plot-out", dest="plot_out", type=_DESTINATION,
+                   help="write period,raw,smoothed,poly_fit CSV here")
 
     p = sub.add_parser("ingest", parents=[common], help="bucket a deal list into a series CSV")
     p.add_argument("--deals", required=True)
     p.add_argument("--sector", default=None)
     p.add_argument("--bucketing", choices=("month", "quarter", "year"), default="month")
     p.add_argument("--measure", choices=("counts", "value"), default="counts")
-    p.add_argument("--series-out", dest="series_out", required=True,
+    p.add_argument("--series-out", dest="series_out", type=_DESTINATION, required=True,
                    help="destination for the bucketed series CSV")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    paths = {}
-    for name in ("comps", "target", "ranges", "returns", "data", "deals"):
-        value = getattr(args, name, None)
-        if value is not None:
-            paths[name] = value
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "output", "format", *paths) and v is not None
-    }
-    config = RunConfig(
-        command=args.command,
-        paths=paths,
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-        params=params,
-    )
-    if config.command == "simulate-wave":
-        raw = config.params.get("params")
-        defaults = _TREND_DEFAULT_PARAMS[config.params["trend"]]
-        if raw is None:
-            config.params["params"] = defaults
-        else:
-            try:
-                parsed = tuple(float(x) for x in str(raw).split(","))
-            except ValueError:
-                raise ConfigInvalidError(f"--params must be comma-separated numbers, got {raw!r}")
-            if len(parsed) != len(defaults):
-                raise ConfigInvalidError(
-                    f"--trend {config.params['trend']} takes {len(defaults)} parameters, got {len(parsed)}"
-                )
-            config.params["params"] = parsed
-    if config.command == "value":
-        raw = config.params.get("weights", "1,1")
-        try:
-            w = tuple(float(x) for x in str(raw).split(","))
-        except ValueError:
-            raise ConfigInvalidError(f"--weights must be comma-separated numbers, got {raw!r}")
-        if len(w) != 2 or min(w) < 0 or sum(w) <= 0:
-            raise ConfigInvalidError(f"--weights needs two non-negative numbers with a positive sum, got {raw!r}")
-        config.params["weights"] = w
-    return config.validate()
 
 
 # ---------------------------------------------------------------------------
 # Command bodies: each returns (payload, text)
 # ---------------------------------------------------------------------------
 
-def _run_value(config: RunConfig) -> tuple[dict, str]:
-    comparables = comps_mod.load_comparables(config.paths["comps"])
-    target = comps_mod.load_target(config.paths["target"])
-    ranges = comps_mod.load_ranges(config.paths["ranges"])
-    summary = comps_mod.run_valuation(target, ranges, weights=config.params["weights"])
+def _inputs(args: argparse.Namespace) -> dict[str, str]:
+    return {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
+
+
+def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
+    comparables = comps_mod.load_comparables(args.comps)
+    target = comps_mod.load_target(args.target)
+    ranges = comps_mod.load_ranges(args.ranges)
+    summary = comps_mod.run_valuation(target, ranges, weights=args.weights)
 
     benchmarks: dict[str, dict[str, dict]] = {}
     for kind in ("trading", "transaction"):
@@ -198,7 +168,7 @@ def _run_value(config: RunConfig) -> tuple[dict, str]:
 
     payload = report.valuation_payload(summary, target.name)
     payload["benchmarks"] = benchmarks
-    payload["provenance"] = report.provenance(config.paths)
+    payload["provenance"] = report.provenance(_inputs(args))
 
     def fmt_stat(metric: str, value: float) -> str:
         if comps_mod.is_ratio_metric(metric):
@@ -223,17 +193,15 @@ def _run_value(config: RunConfig) -> tuple[dict, str]:
     return payload, "\n".join(text_lines)
 
 
-def _run_event_study(config: RunConfig) -> tuple[dict, str]:
-    series = economics.load_return_series(config.paths["returns"])
-    est = config.params["estimation_periods"]
+def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
+    series = economics.load_return_series(args.returns)
+    est = args.estimation_periods
     if est > len(series):
         raise ConfigInvalidError(
             f"--estimation-periods {est} exceeds the {len(series)} rows available"
         )
-    event_index = config.params.get("event_index")
-    if event_index is None:
-        event_index = est
-    window = config.params["event_window"]
+    event_index = est if args.event_index is None else args.event_index
+    window = args.event_window
     lo = max(0, event_index - window)
     hi = min(len(series), event_index + window + 1)
     if lo >= hi:
@@ -250,7 +218,7 @@ def _run_event_study(config: RunConfig) -> tuple[dict, str]:
         "abnormal_returns": [
             {"date": d.isoformat(), "value": v} for d, v in zip(event.dates, ars)
         ],
-        "provenance": report.provenance(config.paths),
+        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         "Market model fit",
@@ -264,8 +232,8 @@ def _run_event_study(config: RunConfig) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _run_regress(config: RunConfig) -> tuple[dict, str]:
-    spec = regression.load_regression_spec(config.paths["data"])
+def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
+    spec = regression.load_regression_spec(args.data)
     fit = regression.fit_takeover_regression(spec)
     payload = {
         "kind": "regression",
@@ -275,7 +243,7 @@ def _run_regress(config: RunConfig) -> tuple[dict, str]:
             {"name": n, "estimate": c, "standard_error": s}
             for n, c, s in zip(fit.names, fit.coefficients, fit.standard_errors)
         ],
-        "provenance": report.provenance(config.paths),
+        "provenance": report.provenance(_inputs(args)),
     }
     width = max(len(n) for n in fit.names)
     lines = [f"Takeover-frequency regression  (n={fit.n_rows}, R^2={fit.r_squared:.4f})", ""]
@@ -287,14 +255,14 @@ def _run_regress(config: RunConfig) -> tuple[dict, str]:
 
 
 def _analysis(
-    series: waves.CountSeries, params: dict
+    series: waves.CountSeries, args: argparse.Namespace
 ) -> tuple[dict, list[str], waves.CountSeries, waves.PolynomialFit]:
     """Wave diagnostics plus RMS error by polynomial degree of the smoothed series.
 
     Returns the report's ``diagnostics`` and ``rms_by_degree`` blocks, their
     text lines, and the smoothed series and fit that the plot rows need.
     """
-    d = waves.analyze(series, params["window"], params["max_lag"], params["degree"])
+    d = waves.analyze(series, args.window, args.max_lag, args.degree)
     smoothed = d.smoothed
     rms = waves.rms_by_degree(smoothed, [k for k in range(1, 9) if k < len(smoothed)])
     blocks = {
@@ -324,11 +292,11 @@ def _analysis(
     return blocks, lines, smoothed, d.polynomial_fit
 
 
-def _deal_series(config: RunConfig, predicate=None) -> tuple[dict, waves.CountSeries]:
+def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.CountSeries]:
     """Parse and bucket the --deals list; returns the report's deal block and the measured series."""
-    result = deals_mod.parse_deals(config.paths["deals"], config.params.get("sector"))
-    series = deals_mod.aggregate_deals(result.records, config.params["bucketing"], predicate)
-    measure = config.params["measure"]
+    result = deals_mod.parse_deals(args.deals, args.sector)
+    series = deals_mod.aggregate_deals(result.records, args.bucketing, predicate)
+    measure = args.measure
     measured = series.counts if measure == "counts" else series.total_value
     block = {
         "bucketing": series.bucketing,
@@ -344,10 +312,9 @@ def _deal_series(config: RunConfig, predicate=None) -> tuple[dict, waves.CountSe
     return block, measured
 
 
-def _run_waves(config: RunConfig) -> tuple[dict, str]:
+def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
     predicate = None
-    target_country = config.params.get("target_country")
-    bidder_country = config.params.get("bidder_country")
+    target_country, bidder_country = args.target_country, args.bidder_country
     if target_country or bidder_country:
         def predicate(d: deals_mod.DealRecord) -> bool:
             if target_country and d.target_country != target_country:
@@ -356,13 +323,13 @@ def _run_waves(config: RunConfig) -> tuple[dict, str]:
                 return False
             return True
 
-    deals, measured = _deal_series(config, predicate)
-    blocks, diagnostic_lines, _, _ = _analysis(measured, config.params)
+    deals, measured = _deal_series(args, predicate)
+    blocks, diagnostic_lines, _, _ = _analysis(measured, args)
     payload = {
         "kind": "waves",
         **deals,
         **blocks,
-        "provenance": report.provenance(config.paths),
+        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         f"Wave diagnostics over {deals['records']} deals "
@@ -374,58 +341,61 @@ def _run_waves(config: RunConfig) -> tuple[dict, str]:
     return payload, "\n".join(lines) + "\n"
 
 
-def _run_simulate(config: RunConfig) -> tuple[dict, str]:
-    p = config.params
+def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
+    defaults = _TREND_DEFAULT_PARAMS[args.trend]
+    params = defaults if args.params is None else args.params
+    if len(params) != len(defaults):
+        raise ConfigInvalidError(f"--trend {args.trend} takes {len(defaults)} parameters, got {len(params)}")
     model = waves.TrendModel(
-        kind=p["trend"],
-        parameters=p["params"],
-        noise_sigma=p["sigma"],
-        seed=p["seed"],
-        noise=p["noise"],
+        kind=args.trend,
+        parameters=params,
+        noise_sigma=args.sigma,
+        seed=args.seed,
+        noise=args.noise,
     )
-    series = waves.generate_series(model, p["length"], clamp_at_zero=not p.get("no_clamp", False))
-    blocks, diagnostic_lines, smoothed, poly = _analysis(series, p)
+    series = waves.generate_series(model, args.length, clamp_at_zero=not args.no_clamp)
+    blocks, diagnostic_lines, smoothed, poly = _analysis(series, args)
 
-    if p.get("series_out"):
-        waves.save_count_series(series, p["series_out"])
-    if p.get("plot_out"):
+    if args.series_out:
+        waves.save_count_series(series, args.series_out)
+    if args.plot_out:
         rows = waves.plot_data_rows(series, smoothed, poly)
-        report.write_rows_atomic(p["plot_out"], rows)
+        report.write_rows_atomic(args.plot_out, rows)
 
     payload = {
         "kind": "simulation",
-        "trend": p["trend"],
-        "parameters": list(p["params"]),
-        "noise": p["noise"],
-        "sigma": p["sigma"],
-        "seed": p["seed"],
-        "length": p["length"],
+        "trend": args.trend,
+        "parameters": list(params),
+        "noise": args.noise,
+        "sigma": args.sigma,
+        "seed": args.seed,
+        "length": args.length,
         **blocks,
-        "provenance": report.provenance(config.paths, seed=p["seed"]),
+        "provenance": report.provenance(_inputs(args), seed=args.seed),
     }
     lines = [
-        f"Simulated {p['trend']} series, length {p['length']}, sigma {p['sigma']}, seed {p['seed']}",
+        f"Simulated {args.trend} series, length {args.length}, sigma {args.sigma}, seed {args.seed}",
     ]
     lines += diagnostic_lines
     return payload, "\n".join(lines) + "\n"
 
 
-def _run_ingest(config: RunConfig) -> tuple[dict, str]:
-    deals, measured = _deal_series(config)
+def _run_ingest(args: argparse.Namespace) -> tuple[dict, str]:
+    deals, measured = _deal_series(args)
     rows = [["period", "value"]] + [
         [t, repr(v)] for t, v in zip(measured.timestamps, measured.values)
     ]
-    report.write_rows_atomic(config.params["series_out"], rows)
+    report.write_rows_atomic(args.series_out, rows)
     payload = {
         "kind": "ingest",
         **deals,
-        "provenance": report.provenance(config.paths),
+        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         f"Ingested {deals['records']} deals into {deals['buckets']} {deals['bucketing']} buckets",
         f"  malformed rows   {len(deals['malformed'])}",
         f"  value exclusions {deals['value_exclusions']}",
-        f"  series written   {config.params['series_out']}",
+        f"  series written   {args.series_out}",
     ]
     return payload, "\n".join(lines) + "\n"
 
@@ -448,32 +418,24 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(report.canonical_json(diagnostic))
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+def main(argv=None) -> int:
+    """Run one command line; returns the process exit code. ``--help``
+    prints and raises ``SystemExit(0)``, as argparse does."""
     try:
-        payload, text = _COMMANDS[config.command](config)
-        rendered = report.canonical_json(payload) if config.format == "json" else text
+        args = build_parser().parse_args(argv)
+        payload, text = _COMMANDS[args.command](args)
+        rendered = report.canonical_json(payload) if args.format == "json" else text
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return 2
     except (DealdeskError, ValueError) as exc:
         _emit_error(exc)
         return 1
-    if config.output:
-        report.write_atomic(config.output, rendered)
+    if args.output:
+        report.write_atomic(args.output, rendered)
     else:
         sys.stdout.write(rendered)
     return 0
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ConfigInvalidError as exc:
-        _emit_error(exc)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

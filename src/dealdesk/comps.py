@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, require_columns
+from ._files import open_text, parse_number, require_columns
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -310,9 +310,9 @@ def load_comparables(source) -> list[Comparable]:
                 if not raw:
                     continue
                 if base in _RATIO_FIELDS:
-                    ratio_kwargs[base] = float(raw)
+                    ratio_kwargs[base] = parse_number(raw, key)
                 else:
-                    industry[base] = (float(raw), unit)
+                    industry[base] = (parse_number(raw, key), unit)
             out.append(
                 Comparable(
                     name=row["name"].strip(),
@@ -338,15 +338,15 @@ def load_target(source) -> TargetProfile:
         if missing:
             raise ConfigInvalidError(f"target file missing required columns: {', '.join(missing)}")
         metrics = {
-            k.strip(): float(v)
+            k.strip(): parse_number(v, k.strip())
             for k, v in row.items()
             if k is not None and k.strip() not in fixed and (v or "").strip()
         }
         return TargetProfile(
             name=(row.get("name") or "target").strip(),
             metrics=metrics,
-            net_debt=float(row["net_debt"]),
-            shares_outstanding=float(row["shares_outstanding"]),
+            net_debt=parse_number(row["net_debt"], "net_debt"),
+            shares_outstanding=parse_number(row["shares_outstanding"], "shares_outstanding"),
         )
 
 
@@ -380,7 +380,7 @@ def load_ranges(source) -> dict[str, list[MultipleRange]]:
             if not sep:
                 raise ConfigInvalidError(f"[{section}] {metric}: expected low..high, got {raw!r}")
             try:
-                band = MultipleRange(metric=metric, low=float(lo), high=float(hi), basis=basis)
+                band = MultipleRange(metric=metric, low=parse_number(lo), high=parse_number(hi), basis=basis)
             except ValueError as exc:
                 raise ConfigInvalidError(f"[{section}] {metric}: {exc}") from exc
             bands.append(band)

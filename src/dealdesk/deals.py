@@ -7,12 +7,12 @@ records up into count and total-value series for the wave diagnostics.
 from __future__ import annotations
 
 import csv
-import math
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
-from ._files import open_text, require_columns
+from ._files import open_text, parse_number, require_columns
 from .errors import EmptyAfterFilterError
 from .waves import CountSeries
 
@@ -98,12 +98,8 @@ def _parse_month_year(text: str) -> tuple[int, int]:
     return year, month
 
 
-def _parse_number(text: str) -> float:
-    # table exports keep thousands separators ("11,850.0")
-    number = float(text.replace(",", "").strip())
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return number
+# table exports keep thousands separators ("11,850.0")
+_parse_number = functools.partial(parse_number, thousands=True)
 
 
 def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, require_columns
+from ._files import open_text, parse_number, require_columns
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
 
@@ -51,7 +51,6 @@ class CashFlowGrid:
 
     flows: tuple[tuple[float, ...], ...]
     discount_rate: float
-    period_unit: str = "year"
 
     def __post_init__(self):
         if not self.flows or not self.flows[0]:
@@ -159,6 +158,6 @@ def load_return_series(source) -> ReturnSeries:
         dates, firm, market = [], [], []
         for row in reader:
             dates.append(date.fromisoformat(row["date"].strip()))
-            firm.append(float(row["firm_return"]))
-            market.append(float(row["market_return"]))
+            firm.append(parse_number(row["firm_return"], "firm_return"))
+            market.append(parse_number(row["market_return"], "market_return"))
         return ReturnSeries(dates=tuple(dates), firm_returns=tuple(firm), market_returns=tuple(market))

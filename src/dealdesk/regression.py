@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text
+from ._files import open_text, parse_number
 from .errors import (
     ConfigInvalidError,
     HeaderMismatchError,
@@ -227,7 +227,7 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
             raise ConfigInvalidError("regression CSV has no data rows")
 
         def column(name: str) -> list[float]:
-            return [float(r[name]) for r in rows]
+            return [parse_number(r[name], name) for r in rows]
 
         def block(role: str) -> list[list[float]]:
             cols = [column(c) for c in roles[role]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, require_columns
+from ._files import open_text, parse_number, require_columns
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -439,7 +439,7 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
                 elif key in _INT_FIELDS:
                     kwargs[key] = int(raw)
                 else:
-                    kwargs[key] = float(raw)
+                    kwargs[key] = parse_number(raw, key)
             out.append(FinancialSnapshot(**kwargs).ensure_valid())
         return out
 
@@ -457,7 +457,7 @@ def load_period_statements(source) -> list[PeriodStatement]:
         out = []
         for row in reader:
             items = {
-                k: float(v)
+                k: parse_number(v, k)
                 for k, v in row.items()
                 if k is not None and k not in fixed and (v or "").strip()
             }

@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._files import open_text, require_columns
+from ._files import open_text, parse_number, require_columns
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
@@ -299,7 +299,7 @@ def load_count_series(source) -> CountSeries:
         periods, values = [], []
         for row in reader:
             periods.append(row["period"].strip())
-            values.append(float(row["value"]))
+            values.append(parse_number(row["value"], "value"))
         return CountSeries(timestamps=tuple(periods), values=tuple(values))
 
 

@@ -179,33 +179,77 @@ def one_diagnostic(err):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("args,files,error", [
+@pytest.mark.parametrize("args,files,error,named", [
     (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
       "--ranges", str(DATA / "ranges.ini")],
-     {"comps.csv": "kind,ev_to_ebitda\ntrading,9\n"}, "HeaderMismatch"),
+     {"comps.csv": "kind,ev_to_ebitda\ntrading,9\n"}, "HeaderMismatch", "name"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
      {"returns.csv": "date,firm_return\n2005-01-03,0.01\n2005-01-04,0.02\n"
-                     "2005-01-05,0.0\n2005-01-06,0.01\n"}, "HeaderMismatch"),
+                     "2005-01-05,0.0\n2005-01-06,0.01\n"}, "HeaderMismatch", "market_return"),
     (["value", "--comps", str(DATA / "comps.csv"), "--target", "{tmp}/target.csv",
       "--ranges", str(DATA / "ranges.ini")],
      {"target.csv": "name,net_debt,shares_outstanding,ltm_ebitda,fy2006_ebitda,annual_capacity\n"
-                    "Sample Target,250,55.7,88,102,nan\n"}, "ValueError"),
+                    "Sample Target,250,55.7,88,102,nan\n"}, "ValueError",
+     "annual_capacity: expected a finite"),
+    (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
+      "--ranges", str(DATA / "ranges.ini")],
+     {"comps.csv": "name,kind,ev_to_ebitda,ltm_ebitda\nA,trading,inf,10\n"}, "ValueError", "ev_to_ebitda:"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
+     {"returns.csv": "date,firm_return,market_return\n2005-01-03,0.01,0.02\n2005-01-04,nan,0.01\n"
+                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "firm_return:"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
+     {"returns.csv": "date,firm_return,market_return\n2005-01-03,0.01,0.02\n2005-01-04,0.02\n"
+                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "market_return: missing"),
+    (["regress", "--data", "{tmp}/regress.csv"],
+     {"regress.csv": "# role response = y\n# role institutional = a\n# role sectoral = s\n"
+                     "# role technological = t\n# role regime = r\ny,a,s,t,r\n"
+                     "1,2,3,4,0\n2,1e999,1,2,1\n3,1,2,5,0\n"}, "ValueError", "a: expected a finite"),
+    (["event-study", "--returns", "{tmp}/returns.csv"],
+     {"returns.csv": b"date,firm_return,market_return\n2005-01-03,0.01,\xff\n"}, "ValueError",
+     "returns.csv: not UTF-8 text at byte 47"),
     (["simulate-wave", "--trend", "exponential", "--params", "1,1000", "--length", "50"],
-     {}, "ValueError"),
+     {}, "ValueError", ""),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
-        "overflowing-trend"])
-def test_bad_input_exits_1_with_one_diagnostic(args, files, error, tmp_path, capsys):
+        "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
+        "returns-not-utf8", "overflowing-trend"])
+def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        path = tmp_path / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 1 and out == ""
-    assert one_diagnostic(err)["error"] == error
+    diagnostic = one_diagnostic(err)
+    assert diagnostic["error"] == error
+    assert named in diagnostic["message"]
 
 
-def test_argparse_rejects_unknown_choice():
+@pytest.mark.parametrize("args,names", [
+    (VALUE_ARGS + ["--format", "xml"], "argument --format"),
+    (["merge"], "argument command"),
+    (VALUE_ARGS[:3], "arguments are required: --target, --ranges"),
+    (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--window", "abc"], "argument --window"),
+    (["simulate-wave", "--length", "1"], "argument --length"),
+    (["simulate-wave", "--seed", "-1"], "argument --seed"),
+    (["simulate-wave", "--sigma", "nan"], "argument --sigma"),
+    (["simulate-wave", "--sigma", "inf"], "argument --sigma"),
+    (VALUE_ARGS + ["--weights=inf,1"], "argument --weights"),
+    (["simulate-wave", "--params", "nan"], "argument --params"),
+    (["simulate-wave", "--plot-out", "{tmp}/missing/plot.csv"], "argument --plot-out"),
+], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "seed-negative",
+        "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir"])
+def test_bad_argument_exits_2_with_one_diagnostic(args, names, tmp_path, capsys):
+    code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
+    assert code == 2 and out == ""
+    diagnostic = one_diagnostic(err)
+    assert diagnostic["error"] == "ConfigInvalid"
+    assert names in diagnostic["message"]
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(VALUE_ARGS + ["--format", "xml"])
-    assert exc_info.value.code == 2
+        main(["--help"])
+    assert exc_info.value.code == 0
+    assert "simulate-wave" in capsys.readouterr().out
 
 
 # --- event-study ------------------------------------------------------------------

@@ -48,6 +48,26 @@ def test_directory_path_raises_config_invalid(name, tmp_path):
         OPENERS[name](tmp_path)
 
 
+@pytest.mark.parametrize("name", [n for n in OPENERS if n.startswith(("load_", "parse_"))])
+def test_undecodable_path_raises_value_error_naming_it(name, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"name,kind\nZ\xfcrich,trading\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text at byte 11")):
+        OPENERS[name](path)
+
+
+@pytest.mark.parametrize("offset", [0, 8191, 8192, 70000])
+def test_undecodable_byte_offset_counts_from_the_file_start(offset, tmp_path):
+    # Line by line, as the csv module reads, the text layer decodes 8 KiB
+    # chunks; "é" takes two bytes, so at offset 8191 it straddles the first.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"a" * offset + "é".encode() + b"\xff" + b"b" * 100)
+    with pytest.raises(ValueError, match=f"at byte {offset + 2}:"):
+        with open_text(path) as f:
+            for _ in f:
+                pass
+
+
 def test_open_stream_passes_through_and_stays_open():
     stream = io.StringIO("a,b\n")
     with open_text(stream) as got:
