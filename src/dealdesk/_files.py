@@ -1,9 +1,10 @@
 """The one way every loader and writer opens its source or destination,
-the one way a CSV loader checks its header, and the one way a cell or a
-flag is read as a number."""
+the one way CSV rows are written, the one way a CSV loader checks its
+header, and the one way a cell or a flag is read as a number."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 from typing import Optional
@@ -11,23 +12,27 @@ from typing import Optional
 from .errors import ConfigInvalidError, HeaderMismatchError
 
 
-@contextlib.contextmanager
 def open_text(source, mode: str = "r"):
-    """Yield an open text stream for ``source``.
+    """A context manager yielding a text stream for ``source``.
 
     An already open stream is yielded unchanged and left open. A path
     (``str``, ``bytes`` or path-like) is opened as UTF-8 with
-    ``newline=""``, as the csv module expects, and closed on exit. A path
-    that cannot be opened (missing, a directory, no permission) raises
-    ``ConfigInvalidError`` naming it, so the CLI exits 2. Bytes read from
-    a path that are not UTF-8 raise ``ValueError`` naming the path and
-    the byte's offset in the file.
+    ``newline=""``, as the csv module expects, so nothing is translated.
+    A path that cannot be used (missing, a directory, no permission)
+    raises ``ConfigInvalidError`` naming it, so the CLI exits 2. Bytes
+    read from a path that are not UTF-8 raise ``ValueError`` naming the
+    path and the byte's offset in the file. Mode ``"w"`` writes a path
+    atomically (see ``_replacing``).
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
-        yield source
-        return
+        return contextlib.nullcontext(source)
+    return _replacing(source) if mode == "w" else _reading(source)
+
+
+@contextlib.contextmanager
+def _reading(source):
     try:
-        stream = open(source, mode, newline="", encoding="utf-8")
+        stream = open(source, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigInvalidError(f"cannot open {os.fsdecode(source)}: {exc.strerror}") from exc
     with stream:
@@ -38,6 +43,36 @@ def open_text(source, mode: str = "r"):
             # handed, which end where the binary buffer now stands
             offset = stream.buffer.tell() - len(exc.object) + exc.start
             raise ValueError(f"{os.fsdecode(source)}: not UTF-8 text at byte {offset}: {exc.reason}") from exc
+
+
+@contextlib.contextmanager
+def _replacing(dest):
+    """Write a temp file created exclusively beside ``dest``, renamed over
+    it on a clean exit and deleted on any exception, so ``dest`` is never
+    torn. ``open()`` makes it, so it gets the mode the umask gives."""
+    name = os.fsdecode(dest)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(name)), f".tmp-{os.urandom(8).hex()}")
+    try:
+        stream = open(tmp, "x", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot open {name}: {exc.strerror}") from exc
+    try:
+        with stream:
+            yield stream
+        os.replace(tmp, name)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):  # a full disk, or a directory at the rename
+            raise ConfigInvalidError(f"cannot write {name}: {exc.strerror}") from exc
+        raise
+
+
+def write_rows(dest, rows) -> None:
+    """Write CSV ``rows`` with LF endings, streamed to a path (atomically)
+    or an open stream: the one CSV writer every output file goes through."""
+    with open_text(dest, "w") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
 def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -> float:

@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--returns", required=True, help="CSV with date,firm_return,market_return")
     p.add_argument("--estimation-periods", type=_count(3), default=60, dest="estimation_periods")
     p.add_argument("--event-index", type=int, default=None, dest="event_index",
-                   help="row index of the event (default: first row after the estimation window)")
+                   help="row index of the event, from --estimation-periods to the last row "
+                        "(default: first row after the estimation window)")
     p.add_argument("--event-window", type=_count(0), default=1, dest="event_window",
                    help="rows either side of the event index")
 
@@ -201,11 +202,14 @@ def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
             f"--estimation-periods {est} exceeds the {len(series)} rows available"
         )
     event_index = est if args.event_index is None else args.event_index
+    if not est <= event_index < len(series):
+        raise ConfigInvalidError(
+            f"--event-index {event_index} must lie in [{est}, {len(series)}): "
+            f"after the {est}-row estimation window and within the series"
+        )
     window = args.event_window
     lo = max(0, event_index - window)
     hi = min(len(series), event_index + window + 1)
-    if lo >= hi:
-        raise ConfigInvalidError("event window falls outside the series")
 
     fit = economics.fit_market_model(series.window(0, est))
     event = series.window(lo, hi)
@@ -356,11 +360,12 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
     series = waves.generate_series(model, args.length, clamp_at_zero=not args.no_clamp)
     blocks, diagnostic_lines, smoothed, poly = _analysis(series, args)
 
+    # every value is computed before the first file is written
+    plot_rows = waves.plot_data_rows(series, smoothed, poly) if args.plot_out else None
     if args.series_out:
         waves.save_count_series(series, args.series_out)
     if args.plot_out:
-        rows = waves.plot_data_rows(series, smoothed, poly)
-        report.write_rows_atomic(args.plot_out, rows)
+        report.write_rows_atomic(args.plot_out, plot_rows)
 
     payload = {
         "kind": "simulation",
@@ -382,10 +387,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _run_ingest(args: argparse.Namespace) -> tuple[dict, str]:
     deals, measured = _deal_series(args)
-    rows = [["period", "value"]] + [
-        [t, repr(v)] for t, v in zip(measured.timestamps, measured.values)
-    ]
-    report.write_rows_atomic(args.series_out, rows)
+    waves.save_count_series(measured, args.series_out)
     payload = {
         "kind": "ingest",
         **deals,

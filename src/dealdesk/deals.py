@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
-from ._files import open_text, parse_number, require_columns
+from ._files import open_text, parse_number, require_columns, write_rows
 from .errors import EmptyAfterFilterError
 from .waves import CountSeries
 
@@ -193,24 +195,21 @@ def _parse_row(fields: tuple[str, ...], months: dict, sector_label: Optional[str
 
 def serialize_deals(records: Sequence[DealRecord], dest) -> None:
     """Write records back in the input schema; absent fields print n/a."""
-    with open_text(dest, "w") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(REQUIRED_COLUMNS)
-        for r in records:
-            year, month = r.announced
-            stake = "n/a" if r.stake_pct is None else repr(r.stake_pct * 100.0)
-            value = "n/a" if r.value_usdm is None else repr(r.value_usdm)
-            writer.writerow([
-                f"{_MONTH_ABBREV[month]} {year}",
-                r.target,
-                stake,
-                r.target_country,
-                r.bidder,
-                r.bidder_country,
-                r.seller or "n/a",
-                r.seller_country or "n/a",
-                value,
-            ])
+    def cells(r: DealRecord) -> list[str]:
+        year, month = r.announced
+        return [
+            f"{_MONTH_ABBREV[month]} {year}",
+            r.target,
+            "n/a" if r.stake_pct is None else repr(r.stake_pct * 100.0),
+            r.target_country,
+            r.bidder,
+            r.bidder_country,
+            r.seller or "n/a",
+            r.seller_country or "n/a",
+            "n/a" if r.value_usdm is None else repr(r.value_usdm),
+        ]
+
+    write_rows(dest, itertools.chain([REQUIRED_COLUMNS], map(cells, records)))
 
 
 Bucketing = Literal["month", "quarter", "year"]
@@ -271,7 +270,8 @@ def aggregate_deals(
 
     Buckets run contiguously from the earliest to the latest retained
     deal. Deals without a value still count; they are excluded from the
-    totals and tallied in ``value_exclusions``.
+    totals and tallied in ``value_exclusions``. A total that overflows
+    the float range raises ``ValueError`` naming its bucket.
     """
     kept = [d for d in deals if predicate is None or predicate(d)]
     if not kept:
@@ -288,6 +288,9 @@ def aggregate_deals(
         else:
             totals[key] += deal.value_usdm
     labels = tuple(_bucket_label(k, bucketing) for k in span)
+    overflowed = next((label for label, k in zip(labels, span) if not math.isfinite(totals[k])), None)
+    if overflowed is not None:
+        raise ValueError(f"value total of bucket {overflowed} overflows the float range")
     return DealSeries(
         bucketing=bucketing,
         counts=CountSeries(timestamps=labels, values=tuple(float(counts[k]) for k in span)),

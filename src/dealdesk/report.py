@@ -12,16 +12,13 @@ reference tables this toolkit reproduces:
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
-import os
-import tempfile
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
+from ._files import open_text, write_rows
 from .comps import ValuationSummary
 
 
@@ -150,22 +147,11 @@ def canonical_json(payload: Mapping) -> str:
 
 
 def write_atomic(path, data: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write ``data`` through ``open_text``, so readers never see a torn file."""
+    with open_text(path, "w") as f:
+        f.write(data)
 
 
 def write_rows_atomic(path, rows: Iterable[Sequence[str]]) -> None:
-    """CSV variant of write_atomic."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    write_atomic(path, buffer.getvalue())
+    """CSV variant of write_atomic: LF rows streamed into the temp file."""
+    write_rows(path, rows)

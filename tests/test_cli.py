@@ -1,7 +1,9 @@
 """End-to-end command-line checks: exit codes, diagnostics, determinism,
 schema conformance of every report kind."""
 import json
+import os
 import pathlib
+import stat
 import subprocess
 import sys
 import time
@@ -178,6 +180,11 @@ def one_diagnostic(err):
     return diagnostic
 
 
+DEAL_HEADER = "announced_date,target,stake,target_country,bidder,bidder_country,seller,seller_country,value_usdm\n"
+# two finite values whose month total is not
+OVERFLOWING_DEALS = DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,1e308\nJan 2012,U,50,CH,B,DE,n/a,n/a,1e308\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args,files,error,named", [
     (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
@@ -209,9 +216,17 @@ def one_diagnostic(err):
      "returns.csv: not UTF-8 text at byte 47"),
     (["simulate-wave", "--trend", "exponential", "--params", "1,1000", "--length", "50"],
      {}, "ValueError", ""),
+    (["simulate-wave", "--trend", "quadratic", "--params", "1e300,0,0", "--sigma", "0", "--length", "100",
+      "--series-out", "{tmp}/s.csv", "--plot-out", "{tmp}/p.csv", "--output", "{tmp}/r.json"],
+     {}, "ValueError", "autocorrelation overflows"),
+    (["ingest", "--deals", "{tmp}/deals.csv", "--measure", "value", "--series-out", "{tmp}/s.csv"],
+     {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
+    (["waves", "--deals", "{tmp}/deals.csv", "--measure", "value"],
+     {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
-        "returns-not-utf8", "overflowing-trend"])
+        "returns-not-utf8", "overflowing-trend", "overflowing-analysis", "overflowing-ingest-total",
+        "overflowing-waves-total"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name
@@ -221,6 +236,7 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     diagnostic = one_diagnostic(err)
     assert diagnostic["error"] == error
     assert named in diagnostic["message"]
+    assert sorted(os.listdir(tmp_path)) == sorted(files), "a failed call wrote a file"
 
 
 @pytest.mark.parametrize("args,names", [
@@ -235,9 +251,16 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     (VALUE_ARGS + ["--weights=inf,1"], "argument --weights"),
     (["simulate-wave", "--params", "nan"], "argument --params"),
     (["simulate-wave", "--plot-out", "{tmp}/missing/plot.csv"], "argument --plot-out"),
+    # the 80-row returns_csv: the event must follow the estimation window and lie in the series
+    (["event-study", "--returns", "{tmp}/returns.csv", "--event-index=-2", "--event-window", "3"],
+     "--event-index -2"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "70", "--event-index", "50"],
+     "--event-index 50"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "80"], "--event-index 80"),
 ], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "seed-negative",
-        "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir"])
-def test_bad_argument_exits_2_with_one_diagnostic(args, names, tmp_path, capsys):
+        "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir",
+        "event-index-negative", "event-index-in-estimation", "event-index-past-end"])
+def test_bad_argument_exits_2_with_one_diagnostic(args, names, returns_csv, tmp_path, capsys):
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""
     diagnostic = one_diagnostic(err)
@@ -265,6 +288,13 @@ def test_event_study_recovers_model(returns_csv, capsys):
     # default event index = first row after estimation, window 1 either side
     assert payload["event"] == {"index": 60, "start": 59, "stop": 62}
     assert len(payload["abnormal_returns"]) == 3
+
+
+def test_event_study_event_on_the_last_row_clips_its_window(returns_csv, capsys):
+    payload = run_json(
+        ["event-study", "--returns", str(returns_csv), "--event-index", "79", "--event-window", "2"], capsys
+    )
+    assert payload["event"] == {"index": 79, "start": 77, "stop": 80}
 
 
 def test_event_study_estimation_longer_than_series_exits_2(returns_csv, capsys):
@@ -376,9 +406,6 @@ def test_ingest_value_measure(tmp_path, capsys):
     assert 11850.0 <= max(series.values) < 60000.0
 
 
-DEAL_HEADER = "announced_date,target,stake,target_country,bidder,bidder_country,seller,seller_country,value_usdm\n"
-
-
 def ingest_one_bad_row(tmp_path, capsys, bad_row, *extra):
     deals_csv = tmp_path / "deals.csv"
     deals_csv.write_text(DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,10\n" + bad_row + "\n")
@@ -442,6 +469,28 @@ def test_simulate_wave_series_and_plot_files(tmp_path, capsys):
     assert plot_lines[1].split(",")[2] == ""
     assert plot_lines[6].split(",")[2] != ""
     assert payload["diagnostics"]["window"] == 6
+
+
+@pytest.mark.parametrize("args,written", [
+    (["simulate-wave", "--length", "64", "--plot-out", "{tmp}/plot.csv"], ["plot.csv", "report.json", "series.csv"]),
+    (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv")], ["report.json", "series.csv"]),
+], ids=["simulate-wave", "ingest"])
+def test_output_files_are_lf_with_the_umask_mode(args, written, tmp_path, capsys):
+    umask = os.umask(0o022)
+    try:
+        (tmp_path / "plain").open("w").close()
+        code, _, err = run_main([a.format(tmp=tmp_path) for a in args]
+                                + ["--series-out", str(tmp_path / "series.csv"),
+                                   "--output", str(tmp_path / "report.json")], capsys)
+    finally:
+        os.umask(umask)
+    assert code == 0, err
+    series = (tmp_path / "series.csv").read_bytes()
+    assert series.startswith(b"period,value\n") and b"\r" not in series
+    assert sorted(os.listdir(tmp_path)) == ["plain", *written]
+    plain_mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    for name in written:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == plain_mode, name
 
 
 def test_simulate_wave_param_count_mismatch_exits_2(capsys):

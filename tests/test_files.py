@@ -1,8 +1,10 @@
 """Path-or-stream opening and CSV header checks: every loader and writer
 goes through one helper for each."""
 import io
+import os
 import pathlib
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,8 +25,10 @@ from dealdesk import (
     serialize_deals,
 )
 from dealdesk._files import open_text
+from dealdesk.report import write_atomic, write_rows_atomic
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "dealdesk"
+DATA = pathlib.Path(__file__).parent / "data"
 
 # Every public reader and writer of a path, each called with a directory.
 OPENERS = {
@@ -46,6 +50,55 @@ OPENERS = {
 def test_directory_path_raises_config_invalid(name, tmp_path):
     with pytest.raises(ConfigInvalidError, match=re.escape(str(tmp_path))):
         OPENERS[name](tmp_path)
+
+
+# Every public writer of a path, each called with a directory, and each
+# handed content that fails part way through.
+WRITERS = {
+    **{name: OPENERS[name] for name in ("serialize_deals", "save_count_series")},
+    "write_atomic": lambda dest: write_atomic(dest, "x\n"),
+    "write_rows_atomic": lambda dest: write_rows_atomic(dest, [["x"]]),
+}
+
+
+def rows_then_fail(rows):
+    yield from rows
+    raise RuntimeError("interrupted")
+
+
+FAILING_WRITERS = {
+    "serialize_deals": lambda dest: serialize_deals(
+        rows_then_fail(parse_deals(DATA / "swiss_deals_2012.csv").records[:2]), dest),
+    "save_count_series": lambda dest: save_count_series(
+        SimpleNamespace(timestamps=("1", "2", "3"), values=rows_then_fail([1.0, 2.0])), dest),
+    "write_atomic": lambda dest: write_atomic(dest, None),
+    "write_rows_atomic": lambda dest: write_rows_atomic(dest, rows_then_fail([["a", "b"], ["1", "2"]])),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_directory_destination_raises_config_invalid_and_leaves_no_temp_file(name, tmp_path):
+    dest = tmp_path / "out"
+    dest.mkdir()
+    with pytest.raises(ConfigInvalidError, match=re.escape(str(dest))):
+        WRITERS[name](dest)
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(dest) == []
+
+
+@pytest.mark.parametrize("name", FAILING_WRITERS)
+def test_failed_write_leaves_the_destination_as_it_was(name, tmp_path):
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"earlier,bytes\r\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        FAILING_WRITERS[name](dest)
+    assert dest.read_bytes() == b"earlier,bytes\r\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_writers_stream_lf_rows_to_open_streams_too():
+    buffer = io.StringIO()
+    save_count_series(CountSeries(("1", "2"), (1.0, 2.5)), buffer)
+    assert buffer.getvalue() == "period,value\n1,1.0\n2,2.5\n"
 
 
 @pytest.mark.parametrize("name", [n for n in OPENERS if n.startswith(("load_", "parse_"))])
