@@ -1,6 +1,7 @@
 """The one way every loader and writer opens its source or destination,
 the one way CSV rows are written, the one way a CSV loader checks its
-header, and the one way a cell or a flag is read as a number."""
+header and names a bad row, and the one way a cell is read as text and
+a cell or a flag as a number."""
 from __future__ import annotations
 
 import contextlib
@@ -21,8 +22,9 @@ def open_text(source, mode: str = "r"):
     A path that cannot be used (missing, a directory, no permission)
     raises ``ConfigInvalidError`` naming it, so the CLI exits 2. Bytes
     read from a path that are not UTF-8 raise ``ValueError`` naming the
-    path and the byte's offset in the file. Mode ``"w"`` writes a path
-    atomically (see ``_replacing``).
+    path and the byte's offset in the file, and so does text the csv
+    module refuses (a field over its size limit). Mode ``"w"`` writes a
+    path atomically (see ``_replacing``).
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
         return contextlib.nullcontext(source)
@@ -43,6 +45,8 @@ def _reading(source):
             # handed, which end where the binary buffer now stands
             offset = stream.buffer.tell() - len(exc.object) + exc.start
             raise ValueError(f"{os.fsdecode(source)}: not UTF-8 text at byte {offset}: {exc.reason}") from exc
+        except csv.Error as exc:  # not a ValueError
+            raise ValueError(f"{os.fsdecode(source)}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -97,6 +101,15 @@ def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -
     raise ValueError(f"{name}: {reason}" if name else reason)
 
 
+def text_cell(row, name: str) -> str:
+    """The stripped ``name`` cell of a ``csv.DictReader`` row. The missing
+    cell of a row cut short raises ``ValueError``, as in ``parse_number``."""
+    text = row[name]
+    if text is None:
+        raise ValueError(f"{name}: missing")
+    return text.strip()
+
+
 def require_columns(header, required, what: str) -> None:
     """Raise ``HeaderMismatchError`` naming each ``required`` column absent
     from ``header`` (the first CSV row, or ``None`` for an empty file), so
@@ -105,3 +118,17 @@ def require_columns(header, required, what: str) -> None:
     missing = tuple(c for c in required if c not in header)
     if missing:
         raise HeaderMismatchError(f"{what} lacks required columns: {', '.join(missing)}", missing=missing)
+
+
+def parse_rows(rows, parse) -> list:
+    """``[parse(row) for row in rows]`` over a CSV reader's data rows, with
+    any ``ValueError`` prefixed by "row N: ". Rows are numbered as
+    ``deals.parse_deals`` numbers them: the header is row 1 and the blank
+    lines a reader skips are not counted."""
+    out = []
+    for number, row in enumerate(rows, start=2):
+        try:
+            out.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"row {number}: {exc}") from exc
+    return out

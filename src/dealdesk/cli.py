@@ -4,18 +4,24 @@ Exit codes: 0 success, 1 module error (machine-readable diagnostic on
 stderr), 2 invalid configuration before any computation. Reports go to
 --output atomically, or to stdout when no output path is given; the same
 inputs and seed always produce byte-identical JSON.
+
+Each command body imports the modules it runs, so a call loads only what
+its subcommand needs: ``value`` and ``--help`` never load numpy.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import comps as comps_mod
-from . import deals as deals_mod
-from . import economics, regression, report, waves
+from . import report
 from ._files import parse_number
 from .errors import ConfigInvalidError, DealdeskError
+
+if TYPE_CHECKING:
+    from . import waves
+    from .deals import DealRecord
 
 _TREND_DEFAULT_PARAMS = {
     "ideal": (10.0,),
@@ -144,23 +150,24 @@ def _inputs(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
-    comparables = comps_mod.load_comparables(args.comps)
-    target = comps_mod.load_target(args.target)
-    ranges = comps_mod.load_ranges(args.ranges)
-    summary = comps_mod.run_valuation(target, ranges, weights=args.weights)
+    from . import comps
+    comparables = comps.load_comparables(args.comps)
+    target = comps.load_target(args.target)
+    ranges = comps.load_ranges(args.ranges)
+    summary = comps.run_valuation(target, ranges, weights=args.weights)
 
     benchmarks: dict[str, dict[str, dict]] = {}
     for kind in ("trading", "transaction"):
         members = tuple(c for c in comparables if c.kind == kind)
         if not members:
             continue
-        comp_set = comps_mod.CompSet(members=members)
+        comp_set = comps.CompSet(members=members)
         metrics: set[str] = set()
         for member in members:
             metrics.update(member.metric_names())
         benchmarks[kind] = {}
         for metric in sorted(metrics):
-            stats = comps_mod.aggregate(comp_set, metric)
+            stats = comps.aggregate(comp_set, metric)
             benchmarks[kind][metric] = {
                 "mean": stats.mean,
                 "median": stats.median,
@@ -172,7 +179,7 @@ def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
     payload["provenance"] = report.provenance(_inputs(args))
 
     def fmt_stat(metric: str, value: float) -> str:
-        if comps_mod.is_ratio_metric(metric):
+        if comps.is_ratio_metric(metric):
             return f"{report.round_multiple(value):.1f}x"
         return f"{value:,.1f}"
 
@@ -195,6 +202,7 @@ def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
+    from . import economics
     series = economics.load_return_series(args.returns)
     est = args.estimation_periods
     if est > len(series):
@@ -237,6 +245,7 @@ def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
+    from . import regression
     spec = regression.load_regression_spec(args.data)
     fit = regression.fit_takeover_regression(spec)
     payload = {
@@ -266,6 +275,7 @@ def _analysis(
     Returns the report's ``diagnostics`` and ``rms_by_degree`` blocks, their
     text lines, and the smoothed series and fit that the plot rows need.
     """
+    from . import waves
     d = waves.analyze(series, args.window, args.max_lag, args.degree)
     smoothed = d.smoothed
     rms = waves.rms_by_degree(smoothed, [k for k in range(1, 9) if k < len(smoothed)])
@@ -298,8 +308,9 @@ def _analysis(
 
 def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.CountSeries]:
     """Parse and bucket the --deals list; returns the report's deal block and the measured series."""
-    result = deals_mod.parse_deals(args.deals, args.sector)
-    series = deals_mod.aggregate_deals(result.records, args.bucketing, predicate)
+    from . import deals
+    result = deals.parse_deals(args.deals, args.sector)
+    series = deals.aggregate_deals(result.records, args.bucketing, predicate)
     measure = args.measure
     measured = series.counts if measure == "counts" else series.total_value
     block = {
@@ -320,7 +331,7 @@ def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
     predicate = None
     target_country, bidder_country = args.target_country, args.bidder_country
     if target_country or bidder_country:
-        def predicate(d: deals_mod.DealRecord) -> bool:
+        def predicate(d: DealRecord) -> bool:
             if target_country and d.target_country != target_country:
                 return False
             if bidder_country and d.bidder_country != bidder_country:
@@ -346,6 +357,7 @@ def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
+    from . import waves
     defaults = _TREND_DEFAULT_PARAMS[args.trend]
     params = defaults if args.params is None else args.params
     if len(params) != len(defaults):
@@ -386,6 +398,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _run_ingest(args: argparse.Namespace) -> tuple[dict, str]:
+    from . import waves
     deals, measured = _deal_series(args)
     waves.save_count_series(measured, args.series_out)
     payload = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, parse_number, require_columns
+from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -291,38 +291,37 @@ def load_comparables(source) -> list[Comparable]:
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         require_columns(reader.fieldnames, ("name", "kind"), "comparables CSV")
-        out = []
-        for row in reader:
-            ratio_kwargs: dict[str, float] = {}
-            industry: dict[str, tuple[float, str]] = {}
-            when = None
-            for key, raw in row.items():
-                if key is None:
-                    continue
-                raw = (raw or "").strip()
-                base, unit = _split_unit(key)
-                if base in ("name", "kind"):
-                    continue
-                if base == "date":
-                    if raw:
-                        when = date.fromisoformat(raw)
-                    continue
-                if not raw:
-                    continue
-                if base in _RATIO_FIELDS:
-                    ratio_kwargs[base] = parse_number(raw, key)
-                else:
-                    industry[base] = (parse_number(raw, key), unit)
-            out.append(
-                Comparable(
-                    name=row["name"].strip(),
-                    kind=row["kind"].strip(),  # type: ignore[arg-type]
-                    date=when,
-                    multiples=RatioSet(**ratio_kwargs),
-                    industry_metrics=industry,
-                )
-            )
-        return out
+        return parse_rows(reader, _comparable)
+
+
+def _comparable(row: dict) -> Comparable:
+    ratio_kwargs: dict[str, float] = {}
+    industry: dict[str, tuple[float, str]] = {}
+    when = None
+    for key, raw in row.items():
+        if key is None:
+            continue
+        raw = (raw or "").strip()
+        base, unit = _split_unit(key)
+        if base in ("name", "kind"):
+            continue
+        if base == "date":
+            if raw:
+                when = date.fromisoformat(raw)
+            continue
+        if not raw:
+            continue
+        if base in _RATIO_FIELDS:
+            ratio_kwargs[base] = parse_number(raw, key)
+        else:
+            industry[base] = (parse_number(raw, key), unit)
+    return Comparable(
+        name=text_cell(row, "name"),
+        kind=text_cell(row, "kind"),  # type: ignore[arg-type]
+        date=when,
+        multiples=RatioSet(**ratio_kwargs),
+        industry_metrics=industry,
+    )
 
 
 def load_target(source) -> TargetProfile:

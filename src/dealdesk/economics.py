@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number, require_columns
+from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
+from ._floats import float_checked
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
 
@@ -110,6 +111,7 @@ class MarketModelFit:
     r_squared: float
 
 
+@float_checked
 def fit_market_model(s: ReturnSeries) -> MarketModelFit:
     """Least-squares fit of firm returns = alpha + beta * market returns.
 
@@ -155,9 +157,10 @@ def load_return_series(source) -> ReturnSeries:
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         require_columns(reader.fieldnames, ("date", "firm_return", "market_return"), "return series CSV")
-        dates, firm, market = [], [], []
-        for row in reader:
-            dates.append(date.fromisoformat(row["date"].strip()))
-            firm.append(parse_number(row["firm_return"], "firm_return"))
-            market.append(parse_number(row["market_return"], "market_return"))
-        return ReturnSeries(dates=tuple(dates), firm_returns=tuple(firm), market_returns=tuple(market))
+        rows = parse_rows(reader, lambda row: (
+            date.fromisoformat(text_cell(row, "date")),
+            parse_number(row["firm_return"], "firm_return"),
+            parse_number(row["market_return"], "market_return"),
+        ))
+        dates, firm, market = zip(*rows) if rows else ((), (), ())
+        return ReturnSeries(dates=dates, firm_returns=firm, market_returns=market)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number
+from ._files import open_text, parse_number, parse_rows
+from ._floats import float_checked
 from .errors import (
     ConfigInvalidError,
     HeaderMismatchError,
@@ -125,6 +126,7 @@ def _offending_columns(design: np.ndarray, names: tuple[str, ...]) -> tuple[str,
     return tuple(offenders)
 
 
+@float_checked
 def fit_takeover_regression(spec: TakeoverRegressionSpec) -> TakeoverRegressionFit:
     """Least-squares fit with classical standard errors.
 
@@ -213,7 +215,8 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
         if len(roles["response"]) != 1:
             raise ConfigInvalidError("role response must name exactly one column")
 
-        reader = csv.DictReader(io.StringIO("".join(body_lines)))
+        # newline="" as open_text reads: a lone \r ends a line, as in the file
+        reader = csv.DictReader(io.StringIO("".join(body_lines), newline=""))
         header = reader.fieldnames or []
         declared = [c for cols in roles.values() for c in cols]
         absent = tuple(c for c in declared if c not in header)
@@ -222,12 +225,12 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
                 f"declared columns missing from CSV header: {', '.join(absent)}",
                 missing=absent,
             )
-        rows = list(reader)
+        rows = parse_rows(reader, lambda row: {c: parse_number(row[c], c) for c in declared})
         if not rows:
             raise ConfigInvalidError("regression CSV has no data rows")
 
         def column(name: str) -> list[float]:
-            return [parse_number(r[name], name) for r in rows]
+            return [r[name] for r in rows]
 
         def block(role: str) -> list[list[float]]:
             cols = [column(c) for c in roles[role]]

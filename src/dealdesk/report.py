@@ -15,11 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from ._files import open_text, write_rows
-from .comps import ValuationSummary
+
+if TYPE_CHECKING:  # every command imports report; only value needs comps
+    from .comps import ValuationSummary
 
 
 def round_millions(x: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, parse_number, require_columns
+from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -225,13 +225,7 @@ def enterprise_value_breakdown(
     here); out-of-the-money ones add their face value to the debt side.
     """
     mktcap = market_capitalization(s, dilution)
-    nd_values, notes = _zero_filled(s, _NET_DEBT_FIELDS)
-    nd = (
-        nd_values["short_term_debt"]
-        + nd_values["long_term_debt"]
-        + nd_values["capitalized_leases"]
-        - nd_values["cash_and_equivalents"]
-    )
+    _, notes = _zero_filled(s, _NET_DEBT_FIELDS)
     extra, extra_notes = _zero_filled(s, _EV_EXTRA_FIELDS)
     notes.extend(extra_notes)
 
@@ -245,7 +239,7 @@ def enterprise_value_breakdown(
 
     return EnterpriseValueBreakdown(
         market_capitalization=mktcap,
-        net_debt=nd,
+        net_debt=net_debt(s),
         preferred_equity=extra["preferred_equity"],
         minority_interest=extra["minority_interest"],
         long_term_investments=extra["long_term_investments"],
@@ -425,8 +419,8 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         known = {f.name for f in fields(FinancialSnapshot)} - {"notes"}
-        out = []
-        for row in reader:
+
+        def snapshot(row: dict) -> FinancialSnapshot:
             kwargs = {}
             for key, raw in row.items():
                 if key is None or key not in known:
@@ -440,8 +434,9 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
                     kwargs[key] = int(raw)
                 else:
                     kwargs[key] = parse_number(raw, key)
-            out.append(FinancialSnapshot(**kwargs).ensure_valid())
-        return out
+            return FinancialSnapshot(**kwargs).ensure_valid()
+
+        return parse_rows(reader, snapshot)
 
 
 def load_period_statements(source) -> list[PeriodStatement]:
@@ -454,20 +449,14 @@ def load_period_statements(source) -> list[PeriodStatement]:
         reader = csv.DictReader(stream)
         fixed = ("period_label", "period_kind", "start_date", "end_date")
         require_columns(reader.fieldnames, fixed, "period statement CSV")
-        out = []
-        for row in reader:
-            items = {
+        return parse_rows(reader, lambda row: PeriodStatement(
+            line_items={
                 k: parse_number(v, k)
                 for k, v in row.items()
                 if k is not None and k not in fixed and (v or "").strip()
-            }
-            out.append(
-                PeriodStatement(
-                    period_label=row["period_label"].strip(),
-                    period_kind=row["period_kind"].strip(),  # type: ignore[arg-type]
-                    start_date=date.fromisoformat(row["start_date"].strip()),
-                    end_date=date.fromisoformat(row["end_date"].strip()),
-                    line_items=items,
-                )
-            )
-        return out
+            },
+            period_label=text_cell(row, "period_label"),
+            period_kind=text_cell(row, "period_kind"),  # type: ignore[arg-type]
+            start_date=date.fromisoformat(text_cell(row, "start_date")),
+            end_date=date.fromisoformat(text_cell(row, "end_date")),
+        ))

@@ -10,14 +10,14 @@ look quasi-periodic with no cycle in the raw data.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number, require_columns, write_rows
+from ._files import open_text, parse_number, parse_rows, require_columns, text_cell, write_rows
+from ._floats import float_checked
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
@@ -26,20 +26,6 @@ _MAX_POLY_DEGREE = 12
 # (under 1 MB) stays in a core's L2 cache, which made 2^13 rows faster at 1M
 # points than 2^16 or more.
 _QR_BLOCK_ROWS = 1 << 13
-
-
-def _float_checked(step):
-    """Run a wave step with numpy's overflow and invalid-value flags raising,
-    so values too large for float arithmetic end in one ``ValueError``
-    naming the step, not in warnings and non-finite results."""
-    @functools.wraps(step)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return step(*args, **kwargs)
-        except FloatingPointError as exc:  # not a ValueError
-            raise ValueError(f"{step.__name__} overflows the float range: {exc}") from None
-    return checked
 
 
 @dataclass(frozen=True)
@@ -99,7 +85,7 @@ class TrendModel:
         return p[0] * np.exp(p[1] * t)
 
 
-@_float_checked
+@float_checked
 def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) -> CountSeries:
     """Draw one series of the given length, reproducible for a fixed seed.
 
@@ -137,7 +123,7 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-@_float_checked
+@float_checked
 def moving_average(s: CountSeries, window: int) -> CountSeries:
     """Trailing equal-weight average; each output keeps its window-end label."""
     if not 1 <= window <= len(s):
@@ -151,7 +137,7 @@ def moving_average(s: CountSeries, window: int) -> CountSeries:
     )
 
 
-@_float_checked
+@float_checked
 def autocorrelation(s: CountSeries, max_lag: int) -> tuple[float, ...]:
     """Sample autocorrelation at lags 1..max_lag.
 
@@ -169,7 +155,7 @@ def autocorrelation(s: CountSeries, max_lag: int) -> tuple[float, ...]:
     return tuple(float(x[:-lag] @ x[lag:]) / c0 for lag in range(1, max_lag + 1))
 
 
-@_float_checked
+@float_checked
 def dominant_period(s: CountSeries) -> tuple[float, float]:
     """Strongest cycle in the series after removing a straight-line trend.
 
@@ -215,7 +201,7 @@ def _check_degree(degree: int, n: int) -> None:
         raise TooShortError(f"need more than {degree} points, got {n}")
 
 
-@_float_checked
+@float_checked
 def fit_polynomial(s: CountSeries, degree: int) -> PolynomialFit:
     """Best degree-d polynomial over t = 1..n in the least-squares sense.
 
@@ -237,7 +223,7 @@ def fit_polynomial(s: CountSeries, degree: int) -> PolynomialFit:
     )
 
 
-@_float_checked
+@float_checked
 def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -> dict[int, float]:
     """RMS error of the best fit at each degree, for inspection rather than a verdict.
 
@@ -318,11 +304,9 @@ def load_count_series(source) -> CountSeries:
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         require_columns(reader.fieldnames, ("period", "value"), "count series CSV")
-        periods, values = [], []
-        for row in reader:
-            periods.append(row["period"].strip())
-            values.append(parse_number(row["value"], "value"))
-        return CountSeries(timestamps=tuple(periods), values=tuple(values))
+        rows = parse_rows(reader, lambda row: (text_cell(row, "period"), parse_number(row["value"], "value")))
+        periods, values = zip(*rows) if rows else ((), ())
+        return CountSeries(timestamps=periods, values=values)
 
 
 def save_count_series(s: CountSeries, dest) -> None:
@@ -331,7 +315,7 @@ def save_count_series(s: CountSeries, dest) -> None:
     write_rows(dest, itertools.chain([["period", "value"]], rows))
 
 
-@_float_checked
+@float_checked
 def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> list[list[str]]:
     """Rows (period, raw, smoothed, poly_fit) for external plotting.
 

@@ -183,6 +183,16 @@ def one_diagnostic(err):
 DEAL_HEADER = "announced_date,target,stake,target_country,bidder,bidder_country,seller,seller_country,value_usdm\n"
 # two finite values whose month total is not
 OVERFLOWING_DEALS = DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,1e308\nJan 2012,U,50,CH,B,DE,n/a,n/a,1e308\n"
+# finite returns and regressors whose squares are not
+OVERFLOWING_RETURNS = "date,firm_return,market_return\n" + "".join(
+    f"2005-01-{day:02d},{(1 + day % 5) * 1e300!r},{(1 + day % 3) * 1e300!r}\n" for day in range(1, 29)
+)
+REGRESSION_ROLES = ("# role response = y\n# role institutional = a\n# role sectoral = s\n"
+                    "# role technological = t\n# role regime = r\n")
+OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" + "".join(
+    f"{(1 + i % 7) * 1e160!r},{(1 + i % 5) * 1e160!r},{(2 + i % 3) * 1e160!r},{(1 + i % 4) * 1e160!r},{i % 2}\n"
+    for i in range(12)
+)
 
 
 @pytest.mark.filterwarnings("error")
@@ -200,20 +210,23 @@ OVERFLOWING_DEALS = DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,1e308\nJan 2012
      "annual_capacity: expected a finite"),
     (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
       "--ranges", str(DATA / "ranges.ini")],
-     {"comps.csv": "name,kind,ev_to_ebitda,ltm_ebitda\nA,trading,inf,10\n"}, "ValueError", "ev_to_ebitda:"),
+     {"comps.csv": "name,kind,ev_to_ebitda,ltm_ebitda\nA,trading,inf,10\n"}, "ValueError", "row 2: ev_to_ebitda:"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
      {"returns.csv": "date,firm_return,market_return\n2005-01-03,0.01,0.02\n2005-01-04,nan,0.01\n"
-                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "firm_return:"),
+                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "row 3: firm_return:"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
      {"returns.csv": "date,firm_return,market_return\n2005-01-03,0.01,0.02\n2005-01-04,0.02\n"
-                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "market_return: missing"),
+                     "2005-01-05,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "row 3: market_return: missing"),
     (["regress", "--data", "{tmp}/regress.csv"],
-     {"regress.csv": "# role response = y\n# role institutional = a\n# role sectoral = s\n"
-                     "# role technological = t\n# role regime = r\ny,a,s,t,r\n"
-                     "1,2,3,4,0\n2,1e999,1,2,1\n3,1,2,5,0\n"}, "ValueError", "a: expected a finite"),
+     {"regress.csv": REGRESSION_ROLES + "y,a,s,t,r\n1,2,3,4,0\n2,1e999,1,2,1\n3,1,2,5,0\n"},
+     "ValueError", "row 3: a: expected a finite"),
     (["event-study", "--returns", "{tmp}/returns.csv"],
      {"returns.csv": b"date,firm_return,market_return\n2005-01-03,0.01,\xff\n"}, "ValueError",
      "returns.csv: not UTF-8 text at byte 47"),
+    (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
+      "--ranges", str(DATA / "ranges.ini")],
+     {"comps.csv": "name,kind,ev_to_ebitda\n" + "x" * 200_000 + ",trading,9\n"}, "ValueError",
+     "comps.csv: field larger than field limit"),
     (["simulate-wave", "--trend", "exponential", "--params", "1,1000", "--length", "50"],
      {}, "ValueError", ""),
     (["simulate-wave", "--trend", "quadratic", "--params", "1e300,0,0", "--sigma", "0", "--length", "100",
@@ -223,10 +236,14 @@ OVERFLOWING_DEALS = DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,1e308\nJan 2012
      {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
     (["waves", "--deals", "{tmp}/deals.csv", "--measure", "value"],
      {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "20"],
+     {"returns.csv": OVERFLOWING_RETURNS}, "ValueError", "fit_market_model overflows"),
+    (["regress", "--data", "{tmp}/regress.csv"],
+     {"regress.csv": OVERFLOWING_REGRESSION}, "ValueError", "fit_takeover_regression overflows"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
-        "returns-not-utf8", "overflowing-trend", "overflowing-analysis", "overflowing-ingest-total",
-        "overflowing-waves-total"])
+        "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis",
+        "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name
@@ -273,6 +290,32 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exc_info.value.code == 0
     assert "simulate-wave" in capsys.readouterr().out
+
+
+NUMPY_USERS = {"numpy", "dealdesk.deals", "dealdesk.waves", "dealdesk.economics", "dealdesk.regression"}
+
+
+@pytest.mark.parametrize("args,absent", [
+    (["--help"], NUMPY_USERS | {"dealdesk.comps"}),
+    (VALUE_ARGS, NUMPY_USERS),
+    (["event-study", "--returns", "{tmp}/returns.csv"], {"dealdesk.deals", "dealdesk.waves"}),
+    (["regress", "--data", "{tmp}/regress.csv"], {"dealdesk.deals", "dealdesk.waves"}),
+], ids=["help", "value", "event-study", "regress"])
+def test_each_command_loads_only_the_modules_it_runs(args, absent, returns_csv, regress_csv, tmp_path):
+    # a fresh interpreter: this one has imported every module already
+    child = (
+        "import json, sys\n"
+        "from dealdesk.cli import main\n"
+        "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n    status = exc.code\n"
+        "print(json.dumps([status, sorted(sys.modules)]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True, text=True, timeout=60,
+    )
+    status, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert status == 0, result.stderr
+    assert absent.isdisjoint(loaded), sorted(absent.intersection(loaded))
 
 
 # --- event-study ------------------------------------------------------------------

@@ -161,3 +161,36 @@ def test_missing_columns_raise_header_mismatch(name):
         loader(io.StringIO(text))
     assert exc_info.value.missing == missing
     assert isinstance(exc_info.value, ValueError)
+
+
+# Loaders that fail on a data row: a CSV whose row 3 is bad, after a good
+# row 2 and a blank line, which is not counted, as parse_deals counts rows.
+BAD_ROWS = {
+    "load_comparables": (load_comparables, "name,kind,ev_to_ebitda\nA,trading,9\n\nB,trading,nan\n",
+                         "ev_to_ebitda: expected a finite"),
+    "load_return_series": (load_return_series,
+                           "date,firm_return,market_return\n2005-01-03,0.01,0.02\n\n2005-01-04,0.01\n",
+                           "market_return: missing"),
+    "load_count_series": (load_count_series, "period,value\n2012-01,1\n\n2012-02,inf\n",
+                          "value: expected a finite"),
+    "load_snapshots": (load_snapshots, "as_of_date,revenue\n2005-12-31,400\n\n2006-12-31,1e999\n",
+                       "revenue: expected a finite"),
+    "load_period_statements": (load_period_statements,
+                               "period_label,period_kind,start_date,end_date,revenue\n"
+                               "FY2005,fiscal-year,2005-01-01,2005-12-31,400\n\n"
+                               "FY2006,fiscal-year,2006-01-01,2006-12-31,x\n",
+                               "revenue: could not convert"),
+    "load_regression_spec": (load_regression_spec,
+                             "# role response = y\n# role institutional = a\n# role sectoral = s\n"
+                             "# role technological = t\n# role regime = r\ny,a,s,t,r\n"
+                             "1,2,3,4,0\n\n2,1,nan,2,1\n",
+                             "s: expected a finite"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROWS)
+def test_bad_data_row_is_named(name):
+    loader, text, reason = BAD_ROWS[name]
+    with pytest.raises(ValueError) as exc_info:
+        loader(io.StringIO(text))
+    assert str(exc_info.value).startswith(f"row 3: {reason}")

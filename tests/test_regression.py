@@ -236,6 +236,16 @@ def test_load_regression_spec_roles_and_fit():
     np.testing.assert_allclose(fit.coefficients, oracle, rtol=1e-8)
 
 
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_load_regression_spec_reads_any_line_ending(ending, tmp_path):
+    path = tmp_path / "regress.csv"
+    path.write_bytes(CSV_TEXT.replace("\n", ending).encode())
+    spec = load_regression_spec(path)
+    expected = load_regression_spec(io.StringIO(CSV_TEXT))
+    np.testing.assert_array_equal(spec.design()[0], expected.design()[0])
+    np.testing.assert_array_equal(spec.response, expected.response)
+
+
 def test_load_regression_spec_intercept_flag():
     text = CSV_TEXT.replace("# intercept = true", "# intercept = false")
     spec = load_regression_spec(io.StringIO(text))
