@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "comps": "AggregateStats CompSet Comparable MethodRow MultipleRange StatPolicy TargetProfile "
+        "comps": "AggregateStats CompSet Comparable MethodRow MultipleRange TargetProfile "
                  "ValuationSummary aggregate apply_range build_summary load_comparables load_ranges "
                  "load_target run_valuation summarize_method",
         "deals": "DealRecord DealSeries ParseResult aggregate_deals parse_deals serialize_deals",

@@ -61,18 +61,8 @@ class Comparable:
 
 
 @dataclass(frozen=True)
-class StatPolicy:
-    """Which benchmark statistics to emit."""
-
-    mean: bool = True
-    median: bool = True
-    mean_excl_hi_lo: bool = True
-
-
-@dataclass(frozen=True)
 class CompSet:
     members: tuple[Comparable, ...]
-    stat_policy: StatPolicy = StatPolicy()
 
     def __post_init__(self):
         if not self.members:
@@ -81,8 +71,8 @@ class CompSet:
 
 @dataclass(frozen=True)
 class AggregateStats:
-    mean: Optional[float] = None
-    median: Optional[float] = None
+    mean: float
+    median: float
     mean_excl_hi_lo: Optional[float] = None
 
 
@@ -148,21 +138,19 @@ def aggregate(comp_set: CompSet, metric: str) -> AggregateStats:
     Mean and median run over every member that carries the metric. The
     trimmed mean drops exactly one occurrence of the maximum and one of
     the minimum, so it needs at least three values and is absent below
-    that. Statistics switched off in the policy come back absent.
+    that.
     """
     values = [v for m in comp_set.members if (v := m.metric_value(metric)) is not None]
     if not values:
         raise MetricAbsentError(f"no member of the comp set carries {metric!r}")
-    policy = comp_set.stat_policy
-    mean = sum(values) / len(values) if policy.mean else None
-    median = statistics.median(values) if policy.median else None
     trimmed = None
-    if policy.mean_excl_hi_lo and len(values) >= 3:
+    if len(values) >= 3:
         rest = list(values)
         rest.remove(max(rest))
         rest.remove(min(rest))
         trimmed = sum(rest) / len(rest)
-    return AggregateStats(mean=mean, median=median, mean_excl_hi_lo=trimmed)
+    return AggregateStats(mean=sum(values) / len(values), median=statistics.median(values),
+                          mean_excl_hi_lo=trimmed)
 
 
 def apply_range(target_metric_value: float, rng: MultipleRange) -> tuple[float, float]:

@@ -229,36 +229,16 @@ class DealSeries:
     value_exclusions: int = 0
 
 
-def _bucket_key(announced: tuple[int, int], bucketing: Bucketing) -> tuple[int, int]:
-    year, month = announced
-    if bucketing == "month":
-        return (year, month)
-    if bucketing == "quarter":
-        return (year, (month - 1) // 3 + 1)
-    return (year, 0)
+_PER_YEAR = {"month": 12, "quarter": 4, "year": 1}
 
 
-def _bucket_label(key: tuple[int, int], bucketing: Bucketing) -> str:
-    year, part = key
+def _bucket_label(index: int, bucketing: Bucketing) -> str:
+    year, part = divmod(index, _PER_YEAR[bucketing])
     if bucketing == "month":
-        return f"{year}-{part:02d}"
+        return f"{year}-{part + 1:02d}"
     if bucketing == "quarter":
-        return f"{year}Q{part}"
+        return f"{year}Q{part + 1}"
     return str(year)
-
-
-def _bucket_span(lo: tuple[int, int], hi: tuple[int, int], bucketing: Bucketing) -> list[tuple[int, int]]:
-    per_year = {"month": 12, "quarter": 4, "year": 1}[bucketing]
-    if bucketing == "year":
-        return [(y, 0) for y in range(lo[0], hi[0] + 1)]
-    out = []
-    year, part = lo
-    while (year, part) <= hi:
-        out.append((year, part))
-        part += 1
-        if part > per_year:
-            year, part = year + 1, 1
-    return out
 
 
 def aggregate_deals(
@@ -276,24 +256,26 @@ def aggregate_deals(
     kept = [d for d in deals if predicate is None or predicate(d)]
     if not kept:
         raise EmptyAfterFilterError("no deals left after filtering")
-    keys = [_bucket_key(d.announced, bucketing) for d in kept]
-    span = _bucket_span(min(keys), max(keys), bucketing)
-    counts = {k: 0 for k in span}
-    totals = {k: 0.0 for k in span}
+    per_year = _PER_YEAR[bucketing]
+    # buckets numbered from year 0, so consecutive buckets differ by one
+    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in (d.announced for d in kept)]
+    lo, hi = min(keys), max(keys)
+    counts = [0] * (hi - lo + 1)
+    totals = [0.0] * (hi - lo + 1)
     exclusions = 0
     for deal, key in zip(kept, keys):
-        counts[key] += 1
+        counts[key - lo] += 1
         if deal.value_usdm is None:
             exclusions += 1
         else:
-            totals[key] += deal.value_usdm
-    labels = tuple(_bucket_label(k, bucketing) for k in span)
-    overflowed = next((label for label, k in zip(labels, span) if not math.isfinite(totals[k])), None)
+            totals[key - lo] += deal.value_usdm
+    labels = tuple(_bucket_label(k, bucketing) for k in range(lo, hi + 1))
+    overflowed = next((label for label, total in zip(labels, totals) if not math.isfinite(total)), None)
     if overflowed is not None:
         raise ValueError(f"value total of bucket {overflowed} overflows the float range")
     return DealSeries(
         bucketing=bucketing,
-        counts=CountSeries(timestamps=labels, values=tuple(float(counts[k]) for k in span)),
-        total_value=CountSeries(timestamps=labels, values=tuple(totals[k] for k in span)),
+        counts=CountSeries(timestamps=labels, values=tuple(map(float, counts))),
+        total_value=CountSeries(timestamps=labels, values=tuple(totals)),
         value_exclusions=exclusions,
     )

@@ -153,14 +153,24 @@ def abnormal_returns(s: ReturnSeries, fit: MarketModelFit) -> list[float]:
 
 
 def load_return_series(source) -> ReturnSeries:
-    """Read a return series from CSV with columns date, firm_return, market_return."""
+    """Read a return series from CSV with columns date, firm_return, market_return.
+
+    Dates must be strictly increasing; the first row out of order is named.
+    """
+    previous = None
+
+    def parse(row):
+        nonlocal previous
+        day = date.fromisoformat(text_cell(row, "date"))
+        if previous is not None and day <= previous:
+            raise ValueError(f"date: {day} does not follow {previous}; dates must be strictly increasing")
+        previous = day
+        return (day, parse_number(row["firm_return"], "firm_return"),
+                parse_number(row["market_return"], "market_return"))
+
     with open_text(source) as stream:
         reader = csv.DictReader(stream)
         require_columns(reader.fieldnames, ("date", "firm_return", "market_return"), "return series CSV")
-        rows = parse_rows(reader, lambda row: (
-            date.fromisoformat(text_cell(row, "date")),
-            parse_number(row["firm_return"], "firm_return"),
-            parse_number(row["market_return"], "market_return"),
-        ))
+        rows = parse_rows(reader, parse)
         dates, firm, market = zip(*rows) if rows else ((), (), ())
         return ReturnSeries(dates=dates, firm_returns=firm, market_returns=market)

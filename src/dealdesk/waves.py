@@ -21,7 +21,7 @@ from ._floats import float_checked
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
-# Rows per block of the tall-skinny QR in rms_by_degree. It bounds the QR's
+# Rows per block of the tall-skinny QR in _nested_r. It bounds the QR's
 # working memory whatever the series length; at up to 14 columns one block
 # (under 1 MB) stays in a core's L2 cache, which made 2^13 rows faster at 1M
 # points than 2^16 or more.
@@ -168,14 +168,16 @@ def dominant_period(s: CountSeries) -> tuple[float, float]:
     x = np.asarray(s.values, dtype=float)
     if np.ptp(x) == 0.0:
         raise ZeroVarianceError("series is constant; no spectrum")
-    t = np.arange(1, n + 1, dtype=float)
-    line = np.polynomial.Polynomial.fit(t, x, 1)
-    detrended = x - line(t)
+    r = _nested_r(x, 1)
+    intercept, slope = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
+    detrended = x - (intercept + slope * _mapped_t(n, 0, n))
+    # a straight line leaves only rounding, which the periodogram would
+    # read as a cycle
+    if np.abs(detrended).max() <= n * np.finfo(float).eps * np.abs(x).max():
+        raise ZeroVarianceError("detrended series carries no power")
     power = np.abs(np.fft.rfft(detrended)) ** 2
     nondc = power[1:]
     total = float(nondc.sum())
-    if total == 0.0:
-        raise ZeroVarianceError("detrended series carries no power")
     peak = int(np.argmax(nondc)) + 1
     return n / peak, float(power[peak]) / total
 
@@ -211,15 +213,14 @@ def fit_polynomial(s: CountSeries, degree: int) -> PolynomialFit:
     """
     n = len(s)
     _check_degree(degree, n)
-    t = np.arange(1, n + 1, dtype=float)
-    x = np.asarray(s.values, dtype=float)
-    fitted = np.polynomial.Polynomial.fit(t, x, degree)
-    residuals = x - fitted(t)
-    coefficients = fitted.convert().coef
+    r = _nested_r(np.asarray(s.values, dtype=float), degree)
+    coefficients = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
+    # a one-point fit is a constant, which any domain converts unchanged
+    raw = np.polynomial.Polynomial(coefficients, domain=[1, max(n, 2)], window=[-1, 1]).convert()
     return PolynomialFit(
         degree=degree,
-        coefficients=tuple(float(c) for c in coefficients),
-        rms_error=float(np.sqrt(np.mean(residuals**2))),
+        coefficients=tuple(float(c) for c in raw.coef),
+        rms_error=float(np.sqrt(np.sum(r[degree + 1:, -1] ** 2) / n)),
     )
 
 
@@ -228,13 +229,7 @@ def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -
     """RMS error of the best fit at each degree, for inspection rather than a verdict.
 
     Equals ``fit_polynomial(s, d).rms_error`` for each d, up to rounding,
-    and raises the same errors, but factorizes once. The degrees are
-    nested, so one QR of [1, u, ..., u^top | x], with u = t mapped to
-    [-1, 1] as ``fit_polynomial`` maps it, serves them all: the last
-    column of R is z, the data projected onto each basis direction and
-    then the top fit's residual norm, and the squared residual norm at
-    degree d is sum(z[d+1:]**2). R is folded in row blocks, so memory
-    stays one block wide (a sequential tall-skinny QR).
+    and raises the same errors, but factorizes once, at the top degree.
     """
     n = len(s)
     degrees = tuple(degrees)
@@ -242,8 +237,29 @@ def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -
         _check_degree(d, n)
     if not degrees:
         return {}
-    width = max(degrees) + 2
-    x = np.asarray(s.values, dtype=float)
+    z = _nested_r(np.asarray(s.values, dtype=float), max(degrees))[:, -1]
+    return {d: float(np.sqrt(np.sum(z[d + 1:] ** 2) / n)) for d in degrees}
+
+
+def _mapped_t(n: int, start: int, stop: int) -> np.ndarray:
+    """Periods t = start+1..stop of a series of n, mapped from [1, n] onto [-1, 1]."""
+    return (2.0 * np.arange(start + 1, stop + 1, dtype=float) - (n + 1)) / max(n - 1, 1)
+
+
+def _nested_r(x: np.ndarray, top: int) -> np.ndarray:
+    """R of the QR of [1, u, ..., u^top | x], u = ``_mapped_t``: every
+    least-squares polynomial fit of x up to degree ``top`` in one factorization.
+
+    The degrees are nested (Golub & Van Loan, Matrix Computations, 5.3),
+    so the last column of R is z, the data projected onto each basis
+    direction and then the top fit's residual norm: the degree-d fit in u
+    solves R[:d+1, :d+1] c = z[:d+1] and leaves a squared residual norm
+    of sum(z[d+1:]**2). R is folded in row blocks, so memory stays one
+    block wide (a sequential tall-skinny QR). Needs len(x) > top; R comes
+    back square, (top+2) x (top+2).
+    """
+    n = len(x)
+    width = top + 2
     r = np.empty((0, width))
     for start in range(0, n, _QR_BLOCK_ROWS):
         stop = min(start + _QR_BLOCK_ROWS, n)
@@ -252,16 +268,16 @@ def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -
         a = np.empty((width, len(r) + stop - start)).T
         a[:len(r)] = r
         block = a[len(r):]
-        u = (2.0 * np.arange(start + 1, stop + 1, dtype=float) - (n + 1)) / max(n - 1, 1)
+        u = _mapped_t(n, start, stop)
         block[:, 0] = 1.0
         for k in range(1, width - 1):
             np.multiply(block[:, k - 1], u, out=block[:, k])
         block[:, -1] = x[start:stop]
         r = np.linalg.qr(a, mode="r")
     # with n == top + 1 rows, R has no row for the top fit's residual: it is exact
-    z = np.zeros(width)
-    z[:len(r)] = r[:, -1]
-    return {d: float(np.sqrt(np.sum(z[d + 1:] ** 2) / n)) for d in degrees}
+    square = np.zeros((width, width))
+    square[:len(r)] = r
+    return square
 
 
 @dataclass(frozen=True)

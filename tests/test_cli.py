@@ -240,10 +240,16 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
      {"returns.csv": OVERFLOWING_RETURNS}, "ValueError", "fit_market_model overflows"),
     (["regress", "--data", "{tmp}/regress.csv"],
      {"regress.csv": OVERFLOWING_REGRESSION}, "ValueError", "fit_takeover_regression overflows"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
+     {"returns.csv": "date,firm_return,market_return\n2005-01-03,0.01,0.02\n2005-01-05,0.02,0.01\n"
+                     "2005-01-04,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "row 4: date: 2005-01-04"),
+    (["simulate-wave", "--trend", "linear", "--params", "2,5", "--sigma", "0", "--length", "3000"],
+     {}, "ZeroVariance", "detrended series carries no power"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
         "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis",
-        "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression"])
+        "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression",
+        "swapped-dates", "noiseless-line"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name

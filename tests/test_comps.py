@@ -11,7 +11,6 @@ from dealdesk import (
     MultipleRange,
     NonPositiveMetricError,
     RatioSet,
-    StatPolicy,
     TargetProfile,
     ValuationSummary,
     aggregate,
@@ -74,14 +73,6 @@ def test_aggregate_trimmed_drops_one_occurrence_of_each_extreme():
 def test_aggregate_unknown_metric_raises():
     with pytest.raises(MetricAbsentError):
         aggregate(DEAL_SET, "ev_to_ebit")
-
-
-def test_aggregate_policy_switches_stats_off():
-    cs = CompSet(members=DEAL_SET.members, stat_policy=StatPolicy(mean=False, median=True, mean_excl_hi_lo=False))
-    stats = aggregate(cs, "ev_to_ebitda")
-    assert stats.mean is None
-    assert stats.median == pytest.approx(12.4)
-    assert stats.mean_excl_hi_lo is None
 
 
 def test_aggregate_permutation_invariance():

@@ -246,6 +246,11 @@ def test_dominant_period_sees_through_linear_trend():
     period, fraction = dominant_period(s)
     assert period == pytest.approx(32.0)
     assert fraction > 0.9
+    # a cycle 1e-12 the size of the line is faint, not rounding
+    faint = 1e6 + 2.0 * t + 1e-6 * np.sin(2 * np.pi * t / 32.0)
+    period, fraction = dominant_period(CountSeries(tuple(str(i) for i in t), tuple(faint)))
+    assert period == pytest.approx(32.0)
+    assert fraction > 0.9
 
 
 def test_dominant_period_errors():
@@ -254,6 +259,10 @@ def test_dominant_period_errors():
     flat = CountSeries(tuple(str(i) for i in range(10)), (3.0,) * 10)
     with pytest.raises(ZeroVarianceError):
         dominant_period(flat)
+    # a noiseless line detrends to rounding, not to a cycle
+    line = generate_series(TrendModel(kind="linear", parameters=(2.0, 5.0)), 3000)
+    with pytest.raises(ZeroVarianceError, match="detrended series carries no power"):
+        dominant_period(line)
 
 
 # --- polynomial fits --------------------------------------------------------------
@@ -298,23 +307,64 @@ def _series(x):
     return CountSeries(tuple(str(i) for i in range(1, len(x) + 1)), tuple(float(v) for v in x))
 
 
-@pytest.mark.parametrize("n", [13, 50, 2048, 2 * waves._QR_BLOCK_ROWS + 1],
-                         ids=["top+1", "50", "2048", "2-blocks+1"])
-@pytest.mark.parametrize("shape", ["linear", "exponential", "noisy"])
-def test_rms_by_degree_matches_separate_fits(n, shape):
+# lengths at which the blocked QR takes a different path: exactly top+1
+# rows (R has no residual row), one partial block, and a row past two blocks
+_LENGTHS = pytest.mark.parametrize("n", [13, 50, 2048, 2 * waves._QR_BLOCK_ROWS + 1],
+                                   ids=["top+1", "50", "2048", "2-blocks+1"])
+_SHAPES = pytest.mark.parametrize("shape", ["linear", "exponential", "noisy"])
+
+
+def _shaped(n, shape):
     t = np.arange(1, n + 1, dtype=float)
     x = {
         "linear": 2.0 * t + 5.0,
         "exponential": 3.0 * np.exp(5.0 * t / n),
         "noisy": np.random.default_rng(n).normal(0.0, 1.0, n).cumsum(),
     }[shape]
-    s = _series(x)
-    rms = rms_by_degree(s, range(0, 13))
+    return t, x
+
+
+def _reference_rms(t, x, degree):
+    """RMS residual of numpy's own least-squares fit, an SVD path independent of waves."""
+    fitted = np.polynomial.Polynomial.fit(t, x, degree)
+    return float(np.sqrt(np.mean((x - fitted(t)) ** 2)))
+
+
+@_LENGTHS
+@_SHAPES
+def test_rms_by_degree_matches_separate_fits(n, shape):
+    t, x = _shaped(n, shape)
+    rms = rms_by_degree(_series(x), range(0, 13))
     assert list(rms) == list(range(0, 13))
     # an exact fit leaves only rounding, which scales with the data
     atol = 1e-12 * float(np.abs(x).max())
     for d, value in rms.items():
-        assert value == pytest.approx(fit_polynomial(s, d).rms_error, rel=1e-9, abs=atol), d
+        assert value == pytest.approx(_reference_rms(t, x, d), rel=1e-9, abs=atol), d
+
+
+@_LENGTHS
+@_SHAPES
+def test_fits_match_numpy_least_squares(n, shape):
+    t, x = _shaped(n, shape)
+    s = _series(x)
+    scale = float(np.abs(x).max())
+    for d in range(0, 13):
+        fit = fit_polynomial(s, d)
+        reference = np.polynomial.Polynomial.fit(t, x, d).convert().coef
+        # each coefficient weighted by its term's size at t = n; converting
+        # to raw t loses about a digit per degree on either path
+        contributions = (np.array(fit.coefficients) - reference) * float(n) ** np.arange(d + 1)
+        assert np.abs(contributions).max() <= 1e-14 * 10.0**d * scale, d
+        assert fit.rms_error == pytest.approx(_reference_rms(t, x, d), rel=1e-9, abs=1e-12 * scale), d
+    if shape == "linear":
+        with pytest.raises(ZeroVarianceError, match="detrended series carries no power"):
+            dominant_period(s)
+        return
+    power = np.abs(np.fft.rfft(x - np.polynomial.Polynomial.fit(t, x, 1)(t))) ** 2
+    peak = int(np.argmax(power[1:])) + 1
+    period, fraction = dominant_period(s)
+    assert period == n / peak
+    assert fraction == pytest.approx(power[peak] / power[1:].sum(), rel=1e-9)
 
 
 def test_rms_by_degree_refuses_what_fit_polynomial_refuses():
