@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("waves", parents=[common], help="wave diagnostics over an ingested deal list")
     p.add_argument("--deals", required=True, help="deal-list CSV")
-    p.add_argument("--sector", default=None, help="sector label to attach to every record")
     p.add_argument("--bucketing", choices=("month", "quarter", "year"), default="month")
     p.add_argument("--measure", choices=("counts", "value"), default="counts")
     p.add_argument("--target-country", dest="target_country", default=None)
@@ -132,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="bucket a deal list into a series CSV")
     p.add_argument("--deals", required=True)
-    p.add_argument("--sector", default=None)
     p.add_argument("--bucketing", choices=("month", "quarter", "year"), default="month")
     p.add_argument("--measure", choices=("counts", "value"), default="counts")
     p.add_argument("--series-out", dest="series_out", type=_DESTINATION, required=True,
@@ -309,7 +307,7 @@ def _analysis(
 def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.CountSeries]:
     """Parse and bucket the --deals list; returns the report's deal block and the measured series."""
     from . import deals
-    result = deals.parse_deals(args.deals, args.sector)
+    result = deals.parse_deals(args.deals)
     series = deals.aggregate_deals(result.records, args.bucketing, predicate)
     measure = args.measure
     measured = series.counts if measure == "counts" else series.total_value

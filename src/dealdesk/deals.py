@@ -54,7 +54,6 @@ class DealRecord:
     seller: Optional[str] = None
     seller_country: Optional[str] = None
     value_usdm: Optional[float] = None
-    sector: Optional[str] = None
 
     def __post_init__(self):
         year, month = self.announced
@@ -104,7 +103,7 @@ def _parse_month_year(text: str) -> tuple[int, int]:
 _parse_number = functools.partial(parse_number, thousands=True)
 
 
-def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
+def parse_deals(source) -> ParseResult:
     """Read a deal-list CSV.
 
     "n/a", "-" and blank cells are absent; dates read as "Apr 2012", with
@@ -142,7 +141,7 @@ def parse_deals(source, sector_label: Optional[str] = None) -> ParseResult:
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
             try:
-                record = _parse_row(fields(cells), months, sector_label)
+                record = _parse_row(fields(cells), months)
             except ValueError as exc:
                 malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=_raw(header, row)))
                 continue
@@ -165,7 +164,7 @@ def _raw(header: list[str], row: list[str]) -> dict:
     return raw
 
 
-def _parse_row(fields: tuple[str, ...], months: dict, sector_label: Optional[str]) -> DealRecord:
+def _parse_row(fields: tuple[str, ...], months: dict) -> DealRecord:
     date, target, stake, target_country, bidder, bidder_country, seller, seller_country, value = fields
     announced = months.get(date)
     if announced is None:
@@ -189,7 +188,6 @@ def _parse_row(fields: tuple[str, ...], months: dict, sector_label: Optional[str
         seller=None if _absent(seller) else seller,
         seller_country=None if _absent(seller_country) else seller_country,
         value_usdm=None if _absent(value) else _parse_number(value),
-        sector=sector_label,
     )
 
 

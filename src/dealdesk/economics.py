@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
-from ._floats import float_checked
+from ._floats import float_checked, least_squares_r
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
 
@@ -128,17 +128,17 @@ def fit_market_model(s: ReturnSeries) -> MarketModelFit:
         raise DegenerateRegressorError("market returns are constant; beta is unidentified")
 
     design = np.column_stack([np.ones(n), market])
-    coef, _, _, _ = np.linalg.lstsq(design, firm, rcond=None)
+    r = least_squares_r(firm, 2, lambda block, start, stop: np.copyto(block, design[start:stop]))
+    coef = np.linalg.solve(r[:2, :2], r[:2, 2])
     alpha, beta = float(coef[0]), float(coef[1])
-    fitted = design @ coef
-    residuals = firm - fitted
+    residuals = firm - design @ coef
     ssr = float(np.sum(residuals**2))
     sst = float(np.sum((firm - firm.mean()) ** 2))
     if sst == 0.0:
         r_squared = 1.0 if math.isclose(ssr, 0.0, abs_tol=1e-18) else 0.0
     else:
         r_squared = min(1.0, max(0.0, 1.0 - ssr / sst))
-    return MarketModelFit(alpha=alpha, beta=beta, residuals=tuple(residuals), r_squared=r_squared)
+    return MarketModelFit(alpha=alpha, beta=beta, residuals=tuple(residuals.tolist()), r_squared=r_squared)
 
 
 def abnormal_returns(s: ReturnSeries, fit: MarketModelFit) -> list[float]:

@@ -2,9 +2,8 @@
 
 Linear model of M&A frequency on institutional, sectoral and
 technological variables, with the technology block also interacted
-with binary regime dummies. Estimation uses an SVD least-squares
-route; classical standard errors come from the unbiased residual
-variance.
+with binary regime dummies. The rank test, the coefficients and the
+classical standard errors all come from one QR of [design | response].
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._files import open_text, parse_number, parse_rows
-from ._floats import float_checked
+from ._floats import float_checked, least_squares_r
 from .errors import (
     ConfigInvalidError,
     HeaderMismatchError,
@@ -113,54 +112,45 @@ class TakeoverRegressionFit:
         return self.standard_errors[self.names.index(name)]
 
 
-def _offending_columns(design: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
-    # greedy scan: a column that fails to raise the rank is redundant
-    kept: list[int] = []
-    offenders: list[str] = []
-    for j in range(design.shape[1]):
-        trial = design[:, kept + [j]]
-        if np.linalg.matrix_rank(trial) > len(kept):
-            kept.append(j)
-        else:
-            offenders.append(names[j])
-    return tuple(offenders)
-
-
 @float_checked
 def fit_takeover_regression(spec: TakeoverRegressionSpec) -> TakeoverRegressionFit:
     """Least-squares fit with classical standard errors.
 
-    Needs strictly more rows than columns and a full-rank design; a rank
-    failure names the redundant columns.
+    Needs strictly more rows than columns and a full-rank design: column
+    j is redundant when |R[j, j]|, its distance from the columns before
+    it, is rounding, and a rank failure names the redundant columns. The
+    standard errors read (X'X)^-1 = R^-1 R^-T, which keeps the design's
+    condition number unsquared.
     """
     design, names = spec.design()
     y = np.asarray(spec.response, dtype=float)
     n, p = design.shape
     if n <= p:
         raise TooFewRowsError(f"need more rows than the {p} design columns, got {n}")
-    if np.linalg.matrix_rank(design) < p:
-        offenders = _offending_columns(design, names)
+    r = least_squares_r(y, p, lambda block, start, stop: np.copyto(block, design[start:stop]))
+    triangle = r[:p, :p]
+    tolerance = max(n, p) * np.finfo(float).eps * np.linalg.norm(design, axis=0)
+    redundant = np.abs(np.diag(triangle)) <= tolerance
+    if redundant.any():
+        offenders = tuple(name for name, flag in zip(names, redundant) if flag)
         raise RankDeficientError(
             f"design is rank deficient; redundant columns: {', '.join(offenders)}",
             columns=offenders,
         )
 
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef = np.linalg.solve(triangle, r[:p, p])
     residuals = y - design @ coef
     ssr = float(residuals @ residuals)
     sigma2 = ssr / (n - p)
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.diag(cov))
-    if spec.include_intercept:
-        sst = float(np.sum((y - y.mean()) ** 2))
-    else:
-        sst = float(y @ y)
+    inverse = np.linalg.solve(triangle, np.eye(p))
+    se = np.sqrt(sigma2 * np.sum(inverse**2, axis=1))
+    sst = float(np.sum((y - y.mean()) ** 2)) if spec.include_intercept else float(y @ y)
     r_squared = 1.0 - ssr / sst if sst > 0 else 1.0
     return TakeoverRegressionFit(
         names=names,
-        coefficients=tuple(float(c) for c in coef),
-        standard_errors=tuple(float(s) for s in se),
-        residuals=tuple(float(r) for r in residuals),
+        coefficients=tuple(coef.tolist()),
+        standard_errors=tuple(se.tolist()),
+        residuals=tuple(residuals.tolist()),
         r_squared=r_squared,
         n_rows=n,
     )
@@ -225,23 +215,21 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
                 f"declared columns missing from CSV header: {', '.join(absent)}",
                 missing=absent,
             )
-        rows = parse_rows(reader, lambda row: {c: parse_number(row[c], c) for c in declared})
+
+        def parse(row) -> dict[str, float]:
+            cells = {c: parse_number(row[c], c) for c in declared}
+            for c in roles["regime"]:
+                if cells[c] not in (0.0, 1.0):
+                    raise ValueError(f"{c}: regime dummies must be 0/1, got {row[c].strip()}")
+            return cells
+
+        rows = parse_rows(reader, parse)
         if not rows:
             raise ConfigInvalidError("regression CSV has no data rows")
 
-        def column(name: str) -> list[float]:
-            return [r[name] for r in rows]
-
-        def block(role: str) -> list[list[float]]:
-            cols = [column(c) for c in roles[role]]
-            return [list(values) for values in zip(*cols)]
-
         return TakeoverRegressionSpec(
-            response=column(roles["response"][0]),
-            institutional=block("institutional"),
-            sectoral=block("sectoral"),
-            technological=block("technological"),
-            regime=block("regime"),
+            response=[r[roles["response"][0]] for r in rows],
+            **{role: [[r[c] for c in roles[role]] for r in rows] for role in _BLOCK_LIMITS},
             include_intercept=include_intercept,
             names={role: roles[role] for role in _BLOCK_LIMITS},
         )

@@ -44,10 +44,6 @@ def _fmt_millions(x: float) -> str:
     return f"{round_millions(x):,.0f}"
 
 
-def _fmt_multiple(x: float) -> str:
-    return f"{round_multiple(x):.1f}x"
-
-
 def _fmt_per_share(x: float) -> str:
     return f"{round_per_share(x):.2f}"
 

@@ -17,15 +17,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ._files import open_text, parse_number, parse_rows, require_columns, text_cell, write_rows
-from ._floats import float_checked
+from ._floats import float_checked, least_squares_r
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
-# Rows per block of the tall-skinny QR in _nested_r. It bounds the QR's
-# working memory whatever the series length; at up to 14 columns one block
-# (under 1 MB) stays in a core's L2 cache, which made 2^13 rows faster at 1M
-# points than 2^16 or more.
-_QR_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -254,30 +249,18 @@ def _nested_r(x: np.ndarray, top: int) -> np.ndarray:
     so the last column of R is z, the data projected onto each basis
     direction and then the top fit's residual norm: the degree-d fit in u
     solves R[:d+1, :d+1] c = z[:d+1] and leaves a squared residual norm
-    of sum(z[d+1:]**2). R is folded in row blocks, so memory stays one
-    block wide (a sequential tall-skinny QR). Needs len(x) > top; R comes
-    back square, (top+2) x (top+2).
+    of sum(z[d+1:]**2). Needs len(x) > top; with len(x) == top + 1 the
+    top fit is exact, and R's last row is zero.
     """
     n = len(x)
-    width = top + 2
-    r = np.empty((0, width))
-    for start in range(0, n, _QR_BLOCK_ROWS):
-        stop = min(start + _QR_BLOCK_ROWS, n)
-        # R so far on top of the new rows; column-major, as LAPACK takes it,
-        # which made each qr about 3x faster than on a row-major block
-        a = np.empty((width, len(r) + stop - start)).T
-        a[:len(r)] = r
-        block = a[len(r):]
+
+    def vandermonde(block, start, stop):
         u = _mapped_t(n, start, stop)
         block[:, 0] = 1.0
-        for k in range(1, width - 1):
+        for k in range(1, top + 1):
             np.multiply(block[:, k - 1], u, out=block[:, k])
-        block[:, -1] = x[start:stop]
-        r = np.linalg.qr(a, mode="r")
-    # with n == top + 1 rows, R has no row for the top fit's residual: it is exact
-    square = np.zeros((width, width))
-    square[:len(r)] = r
-    return square
+
+    return least_squares_r(x, top + 1, vandermonde)
 
 
 @dataclass(frozen=True)

@@ -245,11 +245,14 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
                      "2005-01-04,0.0,0.0\n2005-01-06,0.01,0.03\n"}, "ValueError", "row 4: date: 2005-01-04"),
     (["simulate-wave", "--trend", "linear", "--params", "2,5", "--sigma", "0", "--length", "3000"],
      {}, "ZeroVariance", "detrended series carries no power"),
+    (["regress", "--data", "{tmp}/regress.csv"],
+     {"regress.csv": REGRESSION_ROLES + "y,a,s,t,r\n1,2,3,4,0\n2,1,1,2,1\n3,1,2,5, 2\n"},
+     "ValueError", "row 4: r: regime dummies must be 0/1, got 2"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
         "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis",
         "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression",
-        "swapped-dates", "noiseless-line"])
+        "swapped-dates", "noiseless-line", "regime-cell-2"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name
@@ -280,9 +283,13 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "70", "--event-index", "50"],
      "--event-index 50"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "80"], "--event-index 80"),
+    (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--sector", "XYZ"], "unrecognized arguments: --sector"),
+    (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/s.csv", "--sector", "XYZ"],
+     "unrecognized arguments: --sector"),
 ], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "seed-negative",
         "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir",
-        "event-index-negative", "event-index-in-estimation", "event-index-past-end"])
+        "event-index-negative", "event-index-in-estimation", "event-index-past-end", "waves-sector",
+        "ingest-sector"])
 def test_bad_argument_exits_2_with_one_diagnostic(args, names, returns_csv, tmp_path, capsys):
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""

@@ -21,8 +21,8 @@ FIXTURE = pathlib.Path(__file__).parent / "data" / "swiss_deals_2012.csv"
 HEADER = "announced_date,target,stake,target_country,bidder,bidder_country,seller,seller_country,value_usdm\n"
 
 
-def parse_text(text, sector=None):
-    return parse_deals(io.StringIO(text), sector_label=sector)
+def parse_text(text):
+    return parse_deals(io.StringIO(text))
 
 
 def test_minimal_row_parses():
@@ -108,11 +108,6 @@ def test_header_mismatch_lists_missing_columns():
     assert "value_usdm" in exc_info.value.missing
 
 
-def test_sector_label_applied():
-    result = parse_text(HEADER + "Apr 2012,T,n/a,CH,B,DE,n/a,n/a,10\n", sector="all")
-    assert result.records[0].sector == "all"
-
-
 def test_record_validation():
     with pytest.raises(ValueError):
         DealRecord(announced=(2012, 13), target="T", target_country="CH", bidder="B", bidder_country="DE")
@@ -165,13 +160,13 @@ def test_non_finite_cell_is_malformed(column, text):
 _REFERENCE_ABSENT = {"", "-", "n/a", "na"}
 
 
-def reference_parse(text, sector=None):
+def reference_parse(text):
     """parse_deals written over csv.DictReader rows, cell by cell: the
     row semantics the positional reader must reproduce."""
     records, malformed, warnings, seen = [], [], [], set()
     for number, row in enumerate(csv.DictReader(io.StringIO(text)), start=2):
         try:
-            record = _reference_record(row, sector)
+            record = _reference_record(row)
         except ValueError as exc:
             malformed.append((number, str(exc), dict(row)))
             continue
@@ -183,7 +178,7 @@ def reference_parse(text, sector=None):
     return records, malformed, warnings
 
 
-def _reference_record(row, sector):
+def _reference_record(row):
     def cell(name):
         return (row.get(name) or "").strip()
 
@@ -207,13 +202,12 @@ def _reference_record(row, sector):
         seller=None if absent("seller") else cell("seller"),
         seller_country=None if absent("seller_country") else cell("seller_country"),
         value_usdm=None if absent("value_usdm") else _parse_number(cell("value_usdm")),
-        sector=sector,
     )
 
 
-def assert_same_as_reference(text, sector=None):
-    records, malformed, warnings = reference_parse(text, sector)
-    result = parse_text(text, sector)
+def assert_same_as_reference(text):
+    records, malformed, warnings = reference_parse(text)
+    result = parse_text(text)
     assert list(result.records) == records
     assert [(m.row_number, m.reason, m.raw) for m in result.malformed] == malformed
     assert list(result.warnings) == warnings
@@ -291,7 +285,7 @@ def test_reader_matches_reference_on_repeated_and_empty_header_names():
 
 
 def test_reader_matches_reference_on_fixture():
-    assert_same_as_reference(FIXTURE.read_text(encoding="utf-8"), sector="all")
+    assert_same_as_reference(FIXTURE.read_text(encoding="utf-8"))
 
 
 def generated_deal_list(rows, seed):

@@ -138,6 +138,26 @@ def test_market_model_noisy_recovery_and_zero_mean_residuals():
     assert fit.r_squared > 0.999999
 
 
+def test_market_model_matches_numpy_least_squares():
+    for seed in range(10):
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(3, 300))
+        market = rng.normal(0.0, 0.02, n)
+        firm = 0.002 + 1.3 * market + rng.normal(0.0, 0.01, n)
+        fit = fit_market_model(series(firm.tolist(), market.tolist()))
+        design = np.column_stack([np.ones(n), market])
+        (alpha, beta), _, _, _ = np.linalg.lstsq(design, firm, rcond=None)
+        np.testing.assert_allclose([fit.alpha, fit.beta], [alpha, beta], rtol=1e-12, atol=1e-17)
+        np.testing.assert_allclose(fit.residuals, firm - design @ [alpha, beta], rtol=1e-9, atol=1e-16)
+        assert all(type(v) is float for v in fit.residuals)
+
+
+def test_market_model_refuses_a_non_finite_return():
+    market = [0.01, -0.02, float("nan"), 0.003, -0.007]
+    with pytest.raises(ValueError, match="not finite"):
+        fit_market_model(series([0.0, 0.01, 0.02, 0.0, 0.01], market))
+
+
 def test_market_model_r_squared_bounds_property():
     rng = np.random.default_rng(59)
     for _ in range(50):

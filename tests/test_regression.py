@@ -1,7 +1,9 @@
 """Takeover-frequency regression: solver, errors, and the normal-equations
-cross-check. The module estimates only via SVD least squares; the direct
-(X'X)^-1 X'y route lives here as an independent oracle."""
+cross-check. The module estimates only via one QR of [design | response];
+the direct (X'X)^-1 X'y route lives here as an independent oracle, in
+floats and, for an ill-conditioned design, in exact rationals."""
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +117,47 @@ def test_standard_errors_match_classical_formula():
     np.testing.assert_allclose(fit.standard_errors, expected, rtol=1e-10)
 
 
+def exact_standard_errors(design: np.ndarray, y: np.ndarray) -> list[float]:
+    """Classical standard errors from the normal equations, solved in exact
+    rationals over the float design, so only the final square root rounds."""
+    x = [[Fraction(float(v)) for v in row] for row in design]
+    n, p = design.shape
+    gram = [[sum(row[i] * row[j] for row in x) for j in range(p)] for i in range(p)]
+    xty = [sum(row[i] * Fraction(float(v)) for row, v in zip(x, y)) for i in range(p)]
+    # Gauss-Jordan on [X'X | X'y | I] leaves [I | coefficients | (X'X)^-1]
+    aug = [gram[i] + [xty[i]] + [Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(p):
+            if r != c:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    coef = [aug[i][p] for i in range(p)]
+    residuals = [Fraction(float(v)) - sum(a * c for a, c in zip(row, coef)) for row, v in zip(x, y)]
+    sigma2 = sum(e * e for e in residuals) / (n - p)
+    return [float(sigma2 * aug[i][p + 1 + i]) ** 0.5 for i in range(p)]
+
+
+def test_standard_errors_hold_on_an_ill_conditioned_design():
+    # x and x^2 over x in [1000, 1010]: condition number about 1.4e11, so
+    # (X'X)^-1 in floats, at about 1e22, would keep only some 5 digits
+    rng = np.random.default_rng(83)
+    n = 40
+    x = np.linspace(1000.0, 1010.0, n)
+    spec = TakeoverRegressionSpec(
+        response=0.3 * x - 2e-4 * x**2 + rng.normal(0.0, 0.1, n),
+        institutional=np.column_stack([x, x**2]),
+        sectoral=rng.normal(size=(n, 1)),
+        technological=rng.normal(size=(n, 1)),
+        regime=rng.integers(0, 2, (n, 1)).astype(float),
+    )
+    design, _ = spec.design()
+    assert np.linalg.cond(design) > 1e11
+    fit = fit_takeover_regression(spec)
+    np.testing.assert_allclose(fit.standard_errors, exact_standard_errors(design, spec.response), rtol=1e-9)
+
+
 def test_coefficients_within_three_ses_of_truth():
     hits, total = 0, 0
     for seed in range(20):
@@ -169,6 +212,40 @@ def test_rank_deficiency_names_offenders():
     with pytest.raises(RankDeficientError) as exc_info:
         fit_takeover_regression(spec)
     assert exc_info.value.columns == ("institutional_2",)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_rank_deficiency_is_found_at_any_column_scale(scale):
+    # the institutional block at one scale, the sectoral column at its inverse
+    rng = np.random.default_rng(12)
+    n = 60
+    inst = rng.normal(size=(n, 3)) * scale
+    inst[:, 1] = 2.0 * inst[:, 0]  # exact
+    inst[:, 2] = 0.3 * inst[:, 0] - 1.7 * scale  # up to rounding, with the intercept
+    spec = TakeoverRegressionSpec(
+        response=rng.normal(size=n),
+        institutional=inst,
+        sectoral=rng.normal(size=(n, 1)) / scale,
+        technological=rng.normal(size=(n, 1)),
+        regime=rng.integers(0, 2, (n, 1)).astype(float),
+    )
+    with pytest.raises(RankDeficientError) as exc_info:
+        fit_takeover_regression(spec)
+    assert exc_info.value.columns == ("institutional_2", "institutional_3")
+    # collinear only up to relative noise: a poor design, but full rank
+    for noise in (1e-6, 1e-9):
+        noisy = inst.copy()
+        noisy[:, 1:] *= 1.0 + noise * rng.normal(size=(n, 2))
+        fit = fit_takeover_regression(TakeoverRegressionSpec(**{**vars(spec), "institutional": noisy}))
+        assert all(np.isfinite(fit.standard_errors))
+
+
+def test_non_finite_regressor_is_refused():
+    rng = np.random.default_rng(14)
+    spec, _, _, _ = make_spec(rng, n=40)
+    spec.institutional[3, 0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        fit_takeover_regression(spec)
 
 
 def test_all_ones_regime_duplicates_tec_column():

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from dealdesk import waves
+from dealdesk import _floats, waves
 from dealdesk import (
     CountSeries,
     IllConditionedError,
@@ -309,7 +309,7 @@ def _series(x):
 
 # lengths at which the blocked QR takes a different path: exactly top+1
 # rows (R has no residual row), one partial block, and a row past two blocks
-_LENGTHS = pytest.mark.parametrize("n", [13, 50, 2048, 2 * waves._QR_BLOCK_ROWS + 1],
+_LENGTHS = pytest.mark.parametrize("n", [13, 50, 2048, 2 * _floats._QR_BLOCK_ROWS + 1],
                                    ids=["top+1", "50", "2048", "2-blocks+1"])
 _SHAPES = pytest.mark.parametrize("shape", ["linear", "exponential", "noisy"])
 
