@@ -8,6 +8,7 @@ import contextlib
 import csv
 import math
 import os
+import types
 from typing import Optional
 
 from .errors import ConfigInvalidError, HeaderMismatchError
@@ -73,10 +74,14 @@ def _replacing(dest):
 
 
 def write_rows(dest, rows) -> None:
-    """Write CSV ``rows`` with LF endings, streamed to a path (atomically)
-    or an open stream: the one CSV writer every output file goes through."""
+    """Write CSV ``rows`` with LF endings, streamed to a path (atomically) or
+    an open stream: the one place a cell turns into text. A ``str`` is written
+    as it is, a number as csv writes it (``repr`` for a float) and ``None``
+    blank; a cell holding a comma, a quote, CR or LF is quoted."""
     with open_text(dest, "w") as stream:
-        csv.writer(stream, lineterminator="\n").writerows(rows)
+        # csv before 3.13 quotes a CR cell only with CR in its row ending: write CRLF, end rows LF
+        lf_rows = types.SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
+        csv.writer(lf_rows, lineterminator="\r\n").writerows(rows)
 
 
 def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -> float:

@@ -267,16 +267,15 @@ def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _analysis(
     series: waves.CountSeries, args: argparse.Namespace
-) -> tuple[dict, list[str], waves.CountSeries, waves.PolynomialFit]:
+) -> tuple[dict, list[str], waves.WaveDiagnostics]:
     """Wave diagnostics plus RMS error by polynomial degree of the smoothed series.
 
     Returns the report's ``diagnostics`` and ``rms_by_degree`` blocks, their
-    text lines, and the smoothed series and fit that the plot rows need.
+    text lines, and the diagnostics, which hold the smoothed series and fit the plot reads.
     """
     from . import waves
     d = waves.analyze(series, args.window, args.max_lag, args.degree)
-    smoothed = d.smoothed
-    rms = waves.rms_by_degree(smoothed, [k for k in range(1, 9) if k < len(smoothed)])
+    rms = waves.rms_by_degree(d.smoothed, [k for k in range(1, 9) if k < len(d.smoothed)])
     blocks = {
         "diagnostics": {
             "window": d.window,
@@ -301,7 +300,7 @@ def _analysis(
         "  rms by degree     "
         + " ".join(f"{deg}:{err:.4f}" for deg, err in sorted(rms.items())),
     ]
-    return blocks, lines, smoothed, d.polynomial_fit
+    return blocks, lines, d
 
 
 def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.CountSeries]:
@@ -337,7 +336,7 @@ def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
             return True
 
     deals, measured = _deal_series(args, predicate)
-    blocks, diagnostic_lines, _, _ = _analysis(measured, args)
+    blocks, diagnostic_lines, _ = _analysis(measured, args)
     payload = {
         "kind": "waves",
         **deals,
@@ -368,10 +367,10 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
         noise=args.noise,
     )
     series = waves.generate_series(model, args.length, clamp_at_zero=not args.no_clamp)
-    blocks, diagnostic_lines, smoothed, poly = _analysis(series, args)
+    blocks, diagnostic_lines, d = _analysis(series, args)
 
     # every value is computed before the first file is written
-    plot_rows = waves.plot_data_rows(series, smoothed, poly) if args.plot_out else None
+    plot_rows = waves.plot_data_rows(series, d.smoothed, d.polynomial_fit) if args.plot_out else None
     if args.series_out:
         waves.save_count_series(series, args.series_out)
     if args.plot_out:

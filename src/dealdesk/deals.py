@@ -193,18 +193,18 @@ def _parse_row(fields: tuple[str, ...], months: dict) -> DealRecord:
 
 def serialize_deals(records: Sequence[DealRecord], dest) -> None:
     """Write records back in the input schema; absent fields print n/a."""
-    def cells(r: DealRecord) -> list[str]:
+    def cells(r: DealRecord) -> list:
         year, month = r.announced
         return [
             f"{_MONTH_ABBREV[month]} {year}",
             r.target,
-            "n/a" if r.stake_pct is None else repr(r.stake_pct * 100.0),
+            "n/a" if r.stake_pct is None else r.stake_pct * 100.0,
             r.target_country,
             r.bidder,
             r.bidder_country,
             r.seller or "n/a",
             r.seller_country or "n/a",
-            "n/a" if r.value_usdm is None else repr(r.value_usdm),
+            "n/a" if r.value_usdm is None else r.value_usdm,
         ]
 
     write_rows(dest, itertools.chain([REQUIRED_COLUMNS], map(cells, records)))

@@ -59,10 +59,13 @@ class CashFlowGrid:
         width = len(self.flows[0])
         if any(len(row) != width for row in self.flows):
             raise ValueError("all processes must cover the same periods")
+        if not (np.isfinite(self.flows).all() and math.isfinite(self.discount_rate)):
+            raise ValueError("flows and discount rate must be finite")
         if 1.0 + self.discount_rate <= 0.0:
             raise DegenerateRateError(f"discount rate {self.discount_rate} makes 1+r non-positive")
 
 
+@float_checked
 def combined_firm_value(g: CashFlowGrid) -> float:
     """Present value of every process: sum of NCF[n][t] / (1+r)^t, t from 1."""
     flows = np.asarray(g.flows, dtype=float)

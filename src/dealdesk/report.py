@@ -150,6 +150,6 @@ def write_atomic(path, data: str) -> None:
         f.write(data)
 
 
-def write_rows_atomic(path, rows: Iterable[Sequence[str]]) -> None:
+def write_rows_atomic(path, rows: Iterable[Sequence]) -> None:
     """CSV variant of write_atomic: LF rows streamed into the temp file."""
     write_rows(path, rows)

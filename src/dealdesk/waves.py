@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -310,23 +310,15 @@ def load_count_series(source) -> CountSeries:
 
 def save_count_series(s: CountSeries, dest) -> None:
     """Write (period,value) rows; inverse of load_count_series."""
-    rows = ([period, repr(value)] for period, value in zip(s.timestamps, s.values))
-    write_rows(dest, itertools.chain([["period", "value"]], rows))
+    write_rows(dest, itertools.chain([("period", "value")], zip(s.timestamps, s.values)))
 
 
 @float_checked
-def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> list[list[str]]:
-    """Rows (period, raw, smoothed, poly_fit) for external plotting.
-
-    Smoothed and fitted columns are blank before the first full window.
-    """
-    offset = len(raw) - len(smoothed)
-    t = np.arange(1, len(smoothed) + 1, dtype=float)
-    fitted = poly(t)
-    rows = [["period", "raw", "smoothed", "poly_fit"]]
-    for i, (period, value) in enumerate(zip(raw.timestamps, raw.values)):
-        j = i - offset
-        smoothed_cell = repr(smoothed.values[j]) if j >= 0 else ""
-        fitted_cell = repr(float(fitted[j])) if j >= 0 else ""
-        rows.append([period, repr(value), smoothed_cell, fitted_cell])
-    return rows
+def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> Iterator[tuple]:
+    """Rows (period, raw, smoothed, poly_fit) for external plotting, header
+    first, read lazily from columns computed here. Smoothed and fitted cells
+    are ``None`` (written blank) before the first full window."""
+    fitted = poly(np.arange(1, len(smoothed) + 1, dtype=float)).tolist()
+    pad = (None,) * (len(raw) - len(smoothed))
+    columns = raw.timestamps, raw.values, itertools.chain(pad, smoothed.values), itertools.chain(pad, fitted)
+    return itertools.chain([("period", "raw", "smoothed", "poly_fit")], zip(*columns))

@@ -110,6 +110,23 @@ def test_dcf_shape_validation():
         CashFlowGrid(flows=((1.0, 2.0), (1.0,)), discount_rate=0.05)
 
 
+@pytest.mark.parametrize("flows, rate", [
+    (((float("nan"), 1.0),), 0.05),
+    (((1.0,), (float("-inf"),)), 0.05),
+    (((1.0,),), float("nan")),
+    (((1.0,),), float("inf")),
+])
+def test_dcf_non_finite_grid_rejected_at_construction(flows, rate):
+    with pytest.raises(ValueError, match="must be finite"):
+        CashFlowGrid(flows=flows, discount_rate=rate)
+
+
+def test_dcf_overflow_is_one_value_error():
+    g = CashFlowGrid(flows=((1e308, 1e308),), discount_rate=-0.5)
+    with pytest.raises(ValueError, match="combined_firm_value overflows the float range"):
+        combined_firm_value(g)
+
+
 # --- market model -------------------------------------------------------------
 
 

@@ -6,11 +6,13 @@ import pathlib
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dealdesk import (
     ConfigInvalidError,
     CountSeries,
+    DealRecord,
     HeaderMismatchError,
     load_comparables,
     load_count_series,
@@ -24,7 +26,7 @@ from dealdesk import (
     save_count_series,
     serialize_deals,
 )
-from dealdesk._files import open_text
+from dealdesk._files import open_text, write_rows
 from dealdesk.report import write_atomic, write_rows_atomic
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "dealdesk"
@@ -101,6 +103,29 @@ def test_writers_stream_lf_rows_to_open_streams_too():
     assert buffer.getvalue() == "period,value\n1,1.0\n2,2.5\n"
 
 
+def test_write_rows_formats_every_cell():
+    buffer = io.StringIO(newline="")
+    write_rows(buffer, [["a\rb", "c\nd", 'e"f', "g,h", " i ", None, 1.5, np.float64(0.1), 1e16, 7, "n/a"]])
+    assert buffer.getvalue() == '"a\rb","c\nd","e""f","g,h", i ,,1.5,0.1,1e+16,7,n/a\n'
+
+
+def test_cells_holding_cr_read_back():
+    deal = DealRecord(announced=(2012, 1), target="Foo\rBar AG", target_country="CH",
+                      bidder="B\r\nC", bidder_country="DE", stake_pct=0.5, value_usdm=12.5)
+    buffer = io.StringIO(newline="")
+    serialize_deals([deal], buffer)
+    buffer.seek(0)
+    result = parse_deals(buffer)
+    assert result.records == (deal,) and result.malformed == ()
+
+    series = CountSeries(("a\rb", "c"), (1.0, 2.0))
+    buffer = io.StringIO(newline="")
+    save_count_series(series, buffer)
+    assert buffer.getvalue() == 'period,value\n"a\rb",1.0\nc,2.0\n'
+    buffer.seek(0)
+    assert load_count_series(buffer) == series
+
+
 @pytest.mark.parametrize("name", [n for n in OPENERS if n.startswith(("load_", "parse_"))])
 def test_undecodable_path_raises_value_error_naming_it(name, tmp_path):
     path = tmp_path / "latin1.csv"
@@ -138,8 +163,10 @@ def test_path_is_opened_as_utf8_and_closed(tmp_path):
 
 
 def test_only_the_helper_module_tells_paths_from_streams():
-    users = sorted(p.name for p in SRC.glob("*.py") if "__fspath__" in p.read_text(encoding="utf-8"))
-    assert users == ["_files.py"]
+    # and the only one that writes CSV rows
+    for word in ("__fspath__", "csv.writer"):
+        users = sorted(p.name for p in SRC.glob("*.py") if word in p.read_text(encoding="utf-8"))
+        assert users == ["_files.py"], word
 
 
 # Loaders that index rows by column name: a CSV lacking some of the columns
