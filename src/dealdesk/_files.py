@@ -77,11 +77,15 @@ def write_rows(dest, rows) -> None:
     """Write CSV ``rows`` with LF endings, streamed to a path (atomically) or
     an open stream: the one place a cell turns into text. A ``str`` is written
     as it is, a number as csv writes it (``repr`` for a float) and ``None``
-    blank; a cell holding a comma, a quote, CR or LF is quoted."""
+    blank; a cell holding a comma, a quote, CR or LF is quoted. A cell csv
+    cannot write (NUL, before 3.11) raises ``ValueError``."""
     with open_text(dest, "w") as stream:
         # csv before 3.13 quotes a CR cell only with CR in its row ending: write CRLF, end rows LF
         lf_rows = types.SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
-        csv.writer(lf_rows, lineterminator="\r\n").writerows(rows)
+        try:
+            csv.writer(lf_rows, lineterminator="\r\n").writerows(rows)
+        except csv.Error as exc:  # not a ValueError
+            raise ValueError(f"cannot write a CSV row: {exc}") from exc
 
 
 def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -> float:

@@ -273,7 +273,7 @@ def aggregate_deals(
         raise ValueError(f"value total of bucket {overflowed} overflows the float range")
     return DealSeries(
         bucketing=bucketing,
-        counts=CountSeries(timestamps=labels, values=tuple(map(float, counts))),
-        total_value=CountSeries(timestamps=labels, values=tuple(totals)),
+        counts=CountSeries(timestamps=labels, values=counts),
+        total_value=CountSeries(timestamps=labels, values=totals),
         value_exclusions=exclusions,
     )

@@ -23,16 +23,33 @@ from .errors import IllConditionedError, TooShortError, WindowTooLargeError, Zer
 _MAX_POLY_DEGREE = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountSeries:
-    """Ordered period labels with one value per period."""
+    """Ordered period labels with one value per period.
+
+    ``values`` is a read-only float64 copy of the 1-D sequence of finite
+    numbers given, so no step converts it again; equal labels and values
+    make equal series, whatever form the values came in.
+    """
 
     timestamps: tuple[str, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values):
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"values must be 1-D, got {values.ndim} dimensions")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        if len(self.timestamps) != len(values):
             raise ValueError("timestamps and values must align")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, CountSeries):
+            return NotImplemented
+        return self.timestamps == other.timestamps and np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -106,10 +123,7 @@ def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) 
         values = trend + (rng.normal(0.0, model.noise_sigma, length) if model.noise_sigma > 0 else 0.0)
     if clamp_at_zero:
         values = np.maximum(values, 0.0)
-    return CountSeries(
-        timestamps=tuple(map(str, range(1, length + 1))),
-        values=tuple(values.tolist()),
-    )
+    return CountSeries(timestamps=tuple(map(str, range(1, length + 1))), values=values)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -123,13 +137,9 @@ def moving_average(s: CountSeries, window: int) -> CountSeries:
     """Trailing equal-weight average; each output keeps its window-end label."""
     if not 1 <= window <= len(s):
         raise WindowTooLargeError(f"window {window} outside 1..{len(s)}")
-    values = np.asarray(s.values, dtype=float)
     # sum before dividing so constant series come back bit-identical
-    smoothed = np.convolve(values, np.ones(window), mode="valid") / window
-    return CountSeries(
-        timestamps=s.timestamps[window - 1:],
-        values=tuple(smoothed.tolist()),
-    )
+    smoothed = np.convolve(s.values, np.ones(window), mode="valid") / window
+    return CountSeries(timestamps=s.timestamps[window - 1:], values=smoothed)
 
 
 @float_checked
@@ -142,8 +152,7 @@ def autocorrelation(s: CountSeries, max_lag: int) -> tuple[float, ...]:
     n = len(s)
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 1 <= L < {n}, got {max_lag}")
-    x = np.asarray(s.values, dtype=float)
-    x = x - x.mean()
+    x = s.values - s.values.mean()
     c0 = float(x @ x)
     if c0 == 0.0:
         raise ZeroVarianceError("series is constant; autocorrelation undefined")
@@ -160,7 +169,7 @@ def dominant_period(s: CountSeries) -> tuple[float, float]:
     n = len(s)
     if n < 8:
         raise TooShortError(f"need >= 8 points for a periodogram, got {n}")
-    x = np.asarray(s.values, dtype=float)
+    x = s.values
     if np.ptp(x) == 0.0:
         raise ZeroVarianceError("series is constant; no spectrum")
     r = _nested_r(x, 1)
@@ -208,7 +217,7 @@ def fit_polynomial(s: CountSeries, degree: int) -> PolynomialFit:
     """
     n = len(s)
     _check_degree(degree, n)
-    r = _nested_r(np.asarray(s.values, dtype=float), degree)
+    r = _nested_r(s.values, degree)
     coefficients = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
     # a one-point fit is a constant, which any domain converts unchanged
     raw = np.polynomial.Polynomial(coefficients, domain=[1, max(n, 2)], window=[-1, 1]).convert()
@@ -232,7 +241,7 @@ def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -
         _check_degree(d, n)
     if not degrees:
         return {}
-    z = _nested_r(np.asarray(s.values, dtype=float), max(degrees))[:, -1]
+    z = _nested_r(s.values, max(degrees))[:, -1]
     return {d: float(np.sqrt(np.sum(z[d + 1:] ** 2) / n)) for d in degrees}
 
 
@@ -310,7 +319,7 @@ def load_count_series(source) -> CountSeries:
 
 def save_count_series(s: CountSeries, dest) -> None:
     """Write (period,value) rows; inverse of load_count_series."""
-    write_rows(dest, itertools.chain([("period", "value")], zip(s.timestamps, s.values)))
+    write_rows(dest, itertools.chain([("period", "value")], zip(s.timestamps, s.values.tolist())))
 
 
 @float_checked
@@ -320,5 +329,6 @@ def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit)
     are ``None`` (written blank) before the first full window."""
     fitted = poly(np.arange(1, len(smoothed) + 1, dtype=float)).tolist()
     pad = (None,) * (len(raw) - len(smoothed))
-    columns = raw.timestamps, raw.values, itertools.chain(pad, smoothed.values), itertools.chain(pad, fitted)
+    columns = (raw.timestamps, raw.values.tolist(), itertools.chain(pad, smoothed.values.tolist()),
+               itertools.chain(pad, fitted))
     return itertools.chain([("period", "raw", "smoothed", "poly_fit")], zip(*columns))

@@ -377,8 +377,8 @@ def deal(year, month, value=None, target="T", country="CH"):
 def test_monthly_bucketing_zero_fills_gaps():
     series = aggregate_deals([deal(2012, 1, 10.0), deal(2012, 4, 20.0), deal(2012, 4)], "month")
     assert series.counts.timestamps == ("2012-01", "2012-02", "2012-03", "2012-04")
-    assert series.counts.values == (1.0, 0.0, 0.0, 2.0)
-    assert series.total_value.values == (10.0, 0.0, 0.0, 20.0)
+    assert series.counts.values.tolist() == [1.0, 0.0, 0.0, 2.0]
+    assert series.total_value.values.tolist() == [10.0, 0.0, 0.0, 20.0]
     assert series.value_exclusions == 1
 
 
@@ -386,10 +386,10 @@ def test_quarterly_and_yearly_bucketing():
     deals = [deal(2011, 11, 5.0), deal(2012, 2, 10.0), deal(2012, 3, 7.0), deal(2012, 8, 1.0)]
     q = aggregate_deals(deals, "quarter")
     assert q.counts.timestamps == ("2011Q4", "2012Q1", "2012Q2", "2012Q3")
-    assert q.counts.values == (1.0, 2.0, 0.0, 1.0)
+    assert q.counts.values.tolist() == [1.0, 2.0, 0.0, 1.0]
     y = aggregate_deals(deals, "year")
     assert y.counts.timestamps == ("2011", "2012")
-    assert y.total_value.values == (5.0, 18.0)
+    assert y.total_value.values.tolist() == [5.0, 18.0]
 
 
 def test_bucket_spans_cross_year_boundaries():

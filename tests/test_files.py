@@ -1,5 +1,6 @@
 """Path-or-stream opening and CSV header checks: every loader and writer
 goes through one helper for each."""
+import csv
 import io
 import os
 import pathlib
@@ -72,7 +73,7 @@ FAILING_WRITERS = {
     "serialize_deals": lambda dest: serialize_deals(
         rows_then_fail(parse_deals(DATA / "swiss_deals_2012.csv").records[:2]), dest),
     "save_count_series": lambda dest: save_count_series(
-        SimpleNamespace(timestamps=("1", "2", "3"), values=rows_then_fail([1.0, 2.0])), dest),
+        SimpleNamespace(timestamps=rows_then_fail(["1", "2"]), values=np.array([1.0, 2.0, 3.0])), dest),
     "write_atomic": lambda dest: write_atomic(dest, None),
     "write_rows_atomic": lambda dest: write_rows_atomic(dest, rows_then_fail([["a", "b"], ["1", "2"]])),
 }
@@ -107,6 +108,17 @@ def test_write_rows_formats_every_cell():
     buffer = io.StringIO(newline="")
     write_rows(buffer, [["a\rb", "c\nd", 'e"f', "g,h", " i ", None, 1.5, np.float64(0.1), 1e16, 7, "n/a"]])
     assert buffer.getvalue() == '"a\rb","c\nd","e""f","g,h", i ,,1.5,0.1,1e+16,7,n/a\n'
+
+
+def test_a_nul_cell_round_trips_or_raises_value_error():
+    # csv writes NUL from Python 3.11 on and refuses it before
+    buffer = io.StringIO(newline="")
+    try:
+        write_rows(buffer, [["a\x00b"]])
+    except ValueError:
+        return
+    buffer.seek(0)
+    assert list(csv.reader(buffer)) == [["a\x00b"]]
 
 
 def test_cells_holding_cr_read_back():

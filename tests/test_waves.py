@@ -30,18 +30,18 @@ from dealdesk import (
 
 def test_ideal_trend_without_noise_is_constant():
     s = generate_series(TrendModel(kind="ideal", parameters=(10.0,)), length=24)
-    assert s.values == (10.0,) * 24
+    assert s.values.tolist() == [10.0] * 24
     assert s.timestamps[0] == "1" and s.timestamps[-1] == "24"
 
 
 def test_linear_trend_exact_when_noiseless():
     s = generate_series(TrendModel(kind="linear", parameters=(2.0, 5.0)), length=5)
-    assert s.values == (7.0, 9.0, 11.0, 13.0, 15.0)
+    assert s.values.tolist() == [7.0, 9.0, 11.0, 13.0, 15.0]
 
 
 def test_quadratic_and_exponential_trends():
     q = generate_series(TrendModel(kind="quadratic", parameters=(1.0, 0.0, 3.0)), length=4)
-    assert q.values == (4.0, 7.0, 12.0, 19.0)
+    assert q.values.tolist() == [4.0, 7.0, 12.0, 19.0]
     e = generate_series(TrendModel(kind="exponential", parameters=(2.0, 0.5)), length=3)
     np.testing.assert_allclose(e.values, 2.0 * np.exp(0.5 * np.array([1.0, 2.0, 3.0])))
 
@@ -50,9 +50,9 @@ def test_same_seed_reproduces_different_seed_varies():
     model = TrendModel(kind="ideal", parameters=(10.0,), noise_sigma=2.0, seed=7)
     a = generate_series(model, 100)
     b = generate_series(model, 100)
-    assert a.values == b.values
+    assert a.values.tolist() == b.values.tolist()
     c = generate_series(TrendModel(kind="ideal", parameters=(10.0,), noise_sigma=2.0, seed=8), 100)
-    assert a.values != c.values
+    assert a.values.tolist() != c.values.tolist()
 
 
 def test_clamp_floors_at_zero_and_can_be_disabled():
@@ -68,7 +68,7 @@ def test_poisson_noise_draws_counts_and_ignores_sigma():
     hi = generate_series(
         TrendModel(kind="ideal", parameters=(10.0,), noise="poisson", noise_sigma=99.0, seed=3), 100
     )
-    assert lo.values == hi.values
+    assert lo.values.tolist() == hi.values.tolist()
     assert all(v == int(v) and v >= 0 for v in lo.values)
     assert 5.0 < np.mean(lo.values) < 15.0
 
@@ -98,8 +98,8 @@ def test_generate_series_boxes_like_elementwise_conversion():
     t = np.arange(1, 501, dtype=float)
     values = np.maximum(model.trend(t) + np.random.default_rng(29).normal(0.0, 2.0, 500), 0.0)
     assert s.timestamps == tuple(str(int(x)) for x in t)
-    assert s.values == tuple(float(v) for v in values)
-    assert all(type(v) is float for v in s.values)
+    assert s.values.dtype == np.float64 and not s.values.flags.writeable
+    assert s.values.tolist() == [float(v) for v in values]
 
 
 @pytest.mark.filterwarnings("error")
@@ -120,24 +120,50 @@ def test_derive_seeds_deterministic_and_distinct():
     assert derive_seeds(43, 10) != a
 
 
+# --- the series form -------------------------------------------------------------
+
+def test_series_copies_its_values_into_a_read_only_array():
+    given = np.array([1.0, 2.0, 3.0])
+    s = CountSeries(("1", "2", "3"), given)
+    given[0] = 9.0
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+    assert given.flags.writeable
+    with pytest.raises(ValueError):
+        s.values[0] = 1.0
+
+
+def test_series_from_tuples_equals_series_from_an_array():
+    from_tuples = CountSeries(("a", "b"), (1.0, 2))
+    assert from_tuples == CountSeries(("a", "b"), np.array([1.0, 2.0]))
+    assert from_tuples != CountSeries(("a", "c"), (1.0, 2.0))
+    assert from_tuples != CountSeries(("a", "b"), (1.0, 2.5))
+
+
+@pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf")), [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["nan", "inf", "2-D"])
+def test_series_refuses_non_finite_or_non_1d_values(values):
+    with pytest.raises(ValueError):
+        CountSeries(("1", "2"), values)
+
+
 # --- smoothing -----------------------------------------------------------------
 
 def test_moving_average_hand_example():
     s = CountSeries(timestamps=("1", "2", "3", "4", "5"), values=(1.0, 2.0, 3.0, 4.0, 5.0))
     out = moving_average(s, 3)
-    assert out.values == (2.0, 3.0, 4.0)
+    assert out.values.tolist() == [2.0, 3.0, 4.0]
     assert out.timestamps == ("3", "4", "5")
 
 
 def test_moving_average_pairwise():
     s = CountSeries(timestamps=("1", "2", "3", "4"), values=(1.0, 2.0, 3.0, 4.0))
-    assert moving_average(s, 2).values == (1.5, 2.5, 3.5)
+    assert moving_average(s, 2).values.tolist() == [1.5, 2.5, 3.5]
 
 
 def test_moving_average_window_one_is_identity():
     s = CountSeries(timestamps=("1", "2"), values=(3.0, 4.0))
     out = moving_average(s, 1)
-    assert out.values == s.values and out.timestamps == s.timestamps
+    assert out.values.tolist() == s.values.tolist() and out.timestamps == s.timestamps
 
 
 def test_moving_average_preserves_constants_and_is_linear():
@@ -152,11 +178,11 @@ def test_moving_average_preserves_constants_and_is_linear():
         sx = CountSeries(ts, tuple(x))
         sy = CountSeries(ts, tuple(y))
         combo = CountSeries(ts, tuple(a * x + b * y))
-        lhs = np.asarray(moving_average(combo, k).values)
-        rhs = a * np.asarray(moving_average(sx, k).values) + b * np.asarray(moving_average(sy, k).values)
+        lhs = moving_average(combo, k).values
+        rhs = a * moving_average(sx, k).values + b * moving_average(sy, k).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         const = CountSeries(ts, (5.0,) * n)
-        assert moving_average(const, k).values == (5.0,) * (n - k + 1)
+        assert moving_average(const, k).values.tolist() == [5.0] * (n - k + 1)
 
 
 def test_moving_average_window_bounds():
