@@ -1,7 +1,7 @@
 """The one way every loader and writer opens its source or destination,
-the one way CSV rows are written, the one way a CSV loader checks its
-header and names a bad row, and the one way a cell is read as text and
-a cell or a flag as a number."""
+the one way CSV rows are read and written, the one way a CSV loader
+checks its header and names a bad row, and the one way a cell is read as
+text and a cell or a flag as a number."""
 from __future__ import annotations
 
 import contextlib
@@ -17,19 +17,34 @@ from .errors import ConfigInvalidError, HeaderMismatchError
 def open_text(source, mode: str = "r"):
     """A context manager yielding a text stream for ``source``.
 
-    An already open stream is yielded unchanged and left open. A path
-    (``str``, ``bytes`` or path-like) is opened as UTF-8 with
-    ``newline=""``, as the csv module expects, so nothing is translated.
-    A path that cannot be used (missing, a directory, no permission)
-    raises ``ConfigInvalidError`` naming it, so the CLI exits 2. Bytes
-    read from a path that are not UTF-8 raise ``ValueError`` naming the
-    path and the byte's offset in the file, and so does text the csv
-    module refuses (a field over its size limit). Mode ``"w"`` writes a
-    path atomically (see ``_replacing``).
+    An already open stream (or any iterable of lines) is yielded
+    unchanged and left open. A path (``str``, ``bytes`` or path-like) is
+    opened as UTF-8 with ``newline=""``, as the csv module expects, so
+    nothing is translated. A path that cannot be used (missing, a
+    directory, no permission) raises ``ConfigInvalidError`` naming it, so
+    the CLI exits 2. Bytes read from a path that are not UTF-8 raise
+    ``ValueError`` naming the path and the byte's offset in the file.
+    Text the csv module refuses (a field over its size limit) raises
+    ``ValueError`` from a stream as from a path, which it names. Mode
+    ``"w"`` writes a path atomically (see ``_replacing``).
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
-        return contextlib.nullcontext(source)
+        return _passing(source)
     return _replacing(source) if mode == "w" else _reading(source)
+
+
+class _RefusedText(csv.Error, ValueError):
+    """Text csv refuses in a stream: a ``ValueError`` to the caller, and
+    still a ``csv.Error`` to an enclosing ``_reading``, which names its
+    path (the regression loader reads its CSV body from lines it read)."""
+
+
+@contextlib.contextmanager
+def _passing(stream):
+    try:
+        yield stream
+    except csv.Error as exc:  # not a ValueError
+        raise _RefusedText(*exc.args) from exc
 
 
 @contextlib.contextmanager
@@ -111,7 +126,7 @@ def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -
 
 
 def text_cell(row, name: str) -> str:
-    """The stripped ``name`` cell of a ``csv.DictReader`` row. The missing
+    """The stripped ``name`` cell of a ``read_rows`` row. The missing
     cell of a row cut short raises ``ValueError``, as in ``parse_number``."""
     text = row[name]
     if text is None:
@@ -129,15 +144,21 @@ def require_columns(header, required, what: str) -> None:
         raise HeaderMismatchError(f"{what} lacks required columns: {', '.join(missing)}", missing=missing)
 
 
-def parse_rows(rows, parse) -> list:
-    """``[parse(row) for row in rows]`` over a CSV reader's data rows, with
-    any ``ValueError`` prefixed by "row N: ". Rows are numbered as
+def read_rows(source, parse, required=(), what: str = "CSV") -> list:
+    """``[parse(row) for row in csv.DictReader(source)]``, ``source`` opened
+    by ``open_text``: the one way a loader reads CSV rows, each a dict keyed
+    by the header. ``require_columns`` first checks the header for the
+    ``required`` columns, naming the file as ``what``. Any ``ValueError``
+    from ``parse`` is prefixed by "row N: ". Rows are numbered as
     ``deals.parse_deals`` numbers them: the header is row 1 and the blank
-    lines a reader skips are not counted."""
-    out = []
-    for number, row in enumerate(rows, start=2):
-        try:
-            out.append(parse(row))
-        except ValueError as exc:
-            raise ValueError(f"row {number}: {exc}") from exc
-    return out
+    lines csv skips are not counted."""
+    with open_text(source) as stream:
+        reader = csv.DictReader(stream)
+        require_columns(reader.fieldnames, required, what)
+        out = []
+        for number, row in enumerate(reader, start=2):
+            try:
+                out.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"row {number}: {exc}") from exc
+        return out

@@ -7,13 +7,12 @@ per-share equity range.
 from __future__ import annotations
 
 import configparser
-import csv
 import statistics
 from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
+from ._files import open_text, parse_number, read_rows, text_cell
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -41,6 +40,8 @@ class Comparable:
     industry_metrics: Mapping[str, tuple[float, str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in ("trading", "transaction"):
+            raise ValueError(f"comparable {self.name!r}: kind must be trading or transaction, got {self.kind!r}")
         has_multiple = any(getattr(self.multiples, n) is not None for n in _RATIO_FIELDS)
         if not has_multiple and not self.industry_metrics:
             raise ValueError(f"comparable {self.name!r} carries no multiple or industry metric")
@@ -276,10 +277,7 @@ def load_comparables(source) -> list[Comparable]:
     ratio fields populate the multiples; any other numeric column is an
     industry metric, with an optional unit in parentheses in the header.
     """
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        require_columns(reader.fieldnames, ("name", "kind"), "comparables CSV")
-        return parse_rows(reader, _comparable)
+    return read_rows(source, _comparable, ("name", "kind"), "comparables CSV")
 
 
 def _comparable(row: dict) -> Comparable:
@@ -314,27 +312,25 @@ def _comparable(row: dict) -> Comparable:
 
 def load_target(source) -> TargetProfile:
     """Read the single-row target CSV: name, net_debt, shares_outstanding, metrics."""
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        rows = list(reader)
-        if len(rows) != 1:
-            raise ConfigInvalidError(f"target file must contain exactly one row, found {len(rows)}")
-        row = rows[0]
-        fixed = {"name", "net_debt", "shares_outstanding"}
-        missing = [c for c in ("net_debt", "shares_outstanding") if not (row.get(c) or "").strip()]
-        if missing:
-            raise ConfigInvalidError(f"target file missing required columns: {', '.join(missing)}")
-        metrics = {
-            k.strip(): parse_number(v, k.strip())
-            for k, v in row.items()
-            if k is not None and k.strip() not in fixed and (v or "").strip()
-        }
-        return TargetProfile(
-            name=(row.get("name") or "target").strip(),
-            metrics=metrics,
-            net_debt=parse_number(row["net_debt"], "net_debt"),
-            shares_outstanding=parse_number(row["shares_outstanding"], "shares_outstanding"),
-        )
+    rows = read_rows(source, dict)
+    if len(rows) != 1:
+        raise ConfigInvalidError(f"target file must contain exactly one row, found {len(rows)}")
+    row = rows[0]
+    fixed = {"name", "net_debt", "shares_outstanding"}
+    missing = [c for c in ("net_debt", "shares_outstanding") if not (row.get(c) or "").strip()]
+    if missing:
+        raise ConfigInvalidError(f"target file missing required columns: {', '.join(missing)}")
+    metrics = {
+        k.strip(): parse_number(v, k.strip())
+        for k, v in row.items()
+        if k is not None and k.strip() not in fixed and (v or "").strip()
+    }
+    return TargetProfile(
+        name=(row.get("name") or "target").strip(),
+        metrics=metrics,
+        net_debt=parse_number(row["net_debt"], "net_debt"),
+        shares_outstanding=parse_number(row["shares_outstanding"], "shares_outstanding"),
+    )
 
 
 def load_ranges(source) -> dict[str, list[MultipleRange]]:

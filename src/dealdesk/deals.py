@@ -113,9 +113,10 @@ def parse_deals(source) -> ParseResult:
     rows (equal after stripping each cell) stay in the output but raise a
     warning, since merging them silently could hide source errors.
 
-    Rows read as ``csv.DictReader`` reads them: blank lines are skipped
-    and not numbered, missing trailing cells are absent, cells past the
-    header are ignored, and a repeated column name reads its last cell.
+    Rows are read by position, for speed, but as ``_files.read_rows``
+    reads them by name: blank lines are skipped and not numbered, missing
+    trailing cells are absent, cells past the header are ignored, and a
+    repeated column name reads its last cell.
     """
     with open_text(source) as stream:
         reader = csv.reader(stream)
@@ -125,7 +126,7 @@ def parse_deals(source) -> ParseResult:
         column = {name: i for i, name in enumerate(header)}
         fields = operator.itemgetter(*(column[name] for name in REQUIRED_COLUMNS))
         # duplicate key: one cell per non-empty column name, the last
-        # one when a name repeats, as in a csv.DictReader row
+        # one when a name repeats, as in a read_rows row
         key = operator.itemgetter(*sorted(i for name, i in column.items() if name))
         months: dict[str, tuple[int, int]] = {}
         records: list[DealRecord] = []
@@ -154,7 +155,7 @@ def parse_deals(source) -> ParseResult:
 
 
 def _raw(header: list[str], row: list[str]) -> dict:
-    """``row`` as ``csv.DictReader`` gives it: extra cells listed under
+    """``row`` as ``_files.read_rows`` gives it: extra cells listed under
     ``None``, missing ones ``None``."""
     raw = dict(zip(header, row))
     if len(row) > len(header):

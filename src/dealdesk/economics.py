@@ -2,7 +2,6 @@
 market-model fits and abnormal returns."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -10,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
+from ._files import parse_number, read_rows, text_cell
 from ._floats import float_checked, least_squares_r
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
@@ -171,9 +170,6 @@ def load_return_series(source) -> ReturnSeries:
         return (day, parse_number(row["firm_return"], "firm_return"),
                 parse_number(row["market_return"], "market_return"))
 
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        require_columns(reader.fieldnames, ("date", "firm_return", "market_return"), "return series CSV")
-        rows = parse_rows(reader, parse)
-        dates, firm, market = zip(*rows) if rows else ((), (), ())
-        return ReturnSeries(dates=dates, firm_returns=firm, market_returns=market)
+    rows = read_rows(source, parse, ("date", "firm_return", "market_return"), "return series CSV")
+    dates, firm, market = zip(*rows) if rows else ((), (), ())
+    return ReturnSeries(dates=dates, firm_returns=firm, market_returns=market)

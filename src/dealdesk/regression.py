@@ -7,21 +7,14 @@ classical standard errors all come from one QR of [design | response].
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number, parse_rows
+from ._files import open_text, parse_number, read_rows
 from ._floats import float_checked, least_squares_r
-from .errors import (
-    ConfigInvalidError,
-    HeaderMismatchError,
-    RankDeficientError,
-    TooFewRowsError,
-)
+from .errors import ConfigInvalidError, RankDeficientError, TooFewRowsError
 
 _BLOCK_LIMITS = {
     "institutional": (1, 5),
@@ -205,16 +198,7 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
         if len(roles["response"]) != 1:
             raise ConfigInvalidError("role response must name exactly one column")
 
-        # newline="" as open_text reads: a lone \r ends a line, as in the file
-        reader = csv.DictReader(io.StringIO("".join(body_lines), newline=""))
-        header = reader.fieldnames or []
         declared = [c for cols in roles.values() for c in cols]
-        absent = tuple(c for c in declared if c not in header)
-        if absent:
-            raise HeaderMismatchError(
-                f"declared columns missing from CSV header: {', '.join(absent)}",
-                missing=absent,
-            )
 
         def parse(row) -> dict[str, float]:
             cells = {c: parse_number(row[c], c) for c in declared}
@@ -223,7 +207,8 @@ def load_regression_spec(source) -> TakeoverRegressionSpec:
                     raise ValueError(f"{c}: regime dummies must be 0/1, got {row[c].strip()}")
             return cells
 
-        rows = parse_rows(reader, parse)
+        # read inside the with, so csv's refusal of a cell names the file
+        rows = read_rows(body_lines, parse, declared, "regression CSV")
         if not rows:
             raise ConfigInvalidError("regression CSV has no data rows")
 

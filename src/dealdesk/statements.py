@@ -7,12 +7,11 @@ default to zero inside the value identities, with a provenance note.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, parse_number, parse_rows, require_columns, text_cell
+from ._files import parse_number, read_rows, text_cell
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -113,6 +112,9 @@ class PeriodStatement:
     line_items: Mapping[str, float]
 
     def __post_init__(self):
+        if self.period_kind not in ("fiscal-year", "quarter"):
+            raise ValueError(f"period {self.period_label!r}: period_kind must be fiscal-year or quarter, "
+                             f"got {self.period_kind!r}")
         if self.start_date >= self.end_date:
             raise ValueError(f"period {self.period_label!r}: start_date must precede end_date")
         if self.period_kind == "quarter":
@@ -416,27 +418,27 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
     Columns are matched to field names by header; blank cells are absent.
     Dates must be ISO-8601. ``source`` is a path or an open text stream.
     """
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        known = {f.name for f in fields(FinancialSnapshot)} - {"notes"}
+    known = {f.name for f in fields(FinancialSnapshot)} - {"notes"}
 
-        def snapshot(row: dict) -> FinancialSnapshot:
-            kwargs = {}
-            for key, raw in row.items():
-                if key is None or key not in known:
-                    continue
-                raw = (raw or "").strip()
-                if not raw:
-                    continue
-                if key in _DATE_FIELDS:
-                    kwargs[key] = date.fromisoformat(raw)
-                elif key in _INT_FIELDS:
-                    kwargs[key] = int(raw)
-                else:
-                    kwargs[key] = parse_number(raw, key)
-            return FinancialSnapshot(**kwargs).ensure_valid()
+    def snapshot(row: dict) -> FinancialSnapshot:
+        kwargs = {}
+        for key, raw in row.items():
+            if key is None or key not in known:
+                continue
+            raw = (raw or "").strip()
+            if not raw:
+                continue
+            if key in _DATE_FIELDS:
+                kwargs[key] = date.fromisoformat(raw)
+            elif key in _INT_FIELDS:
+                kwargs[key] = int(raw)
+            else:
+                kwargs[key] = parse_number(raw, key)
+        if "as_of_date" not in kwargs:
+            raise ValueError("as_of_date: missing")
+        return FinancialSnapshot(**kwargs).ensure_valid()
 
-        return parse_rows(reader, snapshot)
+    return read_rows(source, snapshot, ("as_of_date",), "snapshot CSV")
 
 
 def load_period_statements(source) -> list[PeriodStatement]:
@@ -445,18 +447,15 @@ def load_period_statements(source) -> list[PeriodStatement]:
     Fixed columns: period_label, period_kind, start_date, end_date. Every
     remaining column is a line item; blank cells are omitted from the map.
     """
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        fixed = ("period_label", "period_kind", "start_date", "end_date")
-        require_columns(reader.fieldnames, fixed, "period statement CSV")
-        return parse_rows(reader, lambda row: PeriodStatement(
-            line_items={
-                k: parse_number(v, k)
-                for k, v in row.items()
-                if k is not None and k not in fixed and (v or "").strip()
-            },
-            period_label=text_cell(row, "period_label"),
-            period_kind=text_cell(row, "period_kind"),  # type: ignore[arg-type]
-            start_date=date.fromisoformat(text_cell(row, "start_date")),
-            end_date=date.fromisoformat(text_cell(row, "end_date")),
-        ))
+    fixed = ("period_label", "period_kind", "start_date", "end_date")
+    return read_rows(source, lambda row: PeriodStatement(
+        line_items={
+            k: parse_number(v, k)
+            for k, v in row.items()
+            if k is not None and k not in fixed and (v or "").strip()
+        },
+        period_label=text_cell(row, "period_label"),
+        period_kind=text_cell(row, "period_kind"),  # type: ignore[arg-type]
+        start_date=date.fromisoformat(text_cell(row, "start_date")),
+        end_date=date.fromisoformat(text_cell(row, "end_date")),
+    ), fixed, "period statement CSV")

@@ -9,14 +9,13 @@ look quasi-periodic with no cycle in the raw data.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from ._files import open_text, parse_number, parse_rows, require_columns, text_cell, write_rows
+from ._files import parse_number, read_rows, text_cell, write_rows
 from ._floats import float_checked, least_squares_r
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
@@ -309,12 +308,10 @@ def analyze(s: CountSeries, window: int, max_lag: int, degree: int) -> WaveDiagn
 
 def load_count_series(source) -> CountSeries:
     """Read (period,value) rows."""
-    with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        require_columns(reader.fieldnames, ("period", "value"), "count series CSV")
-        rows = parse_rows(reader, lambda row: (text_cell(row, "period"), parse_number(row["value"], "value")))
-        periods, values = zip(*rows) if rows else ((), ())
-        return CountSeries(timestamps=periods, values=values)
+    rows = read_rows(source, lambda row: (text_cell(row, "period"), parse_number(row["value"], "value")),
+                     ("period", "value"), "count series CSV")
+    periods, values = zip(*rows) if rows else ((), ())
+    return CountSeries(timestamps=periods, values=values)
 
 
 def save_count_series(s: CountSeries, dest) -> None:

@@ -248,11 +248,18 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
     (["regress", "--data", "{tmp}/regress.csv"],
      {"regress.csv": REGRESSION_ROLES + "y,a,s,t,r\n1,2,3,4,0\n2,1,1,2,1\n3,1,2,5, 2\n"},
      "ValueError", "row 4: r: regime dummies must be 0/1, got 2"),
+    (["regress", "--data", "{tmp}/regress.csv"],
+     {"regress.csv": REGRESSION_ROLES + "y,a,s,t,r\n" + "x" * 200_000 + ",1,2,3,0\n"},
+     "ValueError", "regress.csv: field larger than field limit"),
+    (["value", "--comps", "{tmp}/comps.csv", "--target", str(DATA / "target.csv"),
+      "--ranges", str(DATA / "ranges.ini")],
+     {"comps.csv": "name,kind,ev_to_ebitda\nA,trading,9\nB,Transaction,8\n"}, "ValueError",
+     "row 3: comparable 'B': kind must be trading or transaction, got 'Transaction'"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
         "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis",
         "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression",
-        "swapped-dates", "noiseless-line", "regime-cell-2"])
+        "swapped-dates", "noiseless-line", "regime-cell-2", "regress-oversized-cell", "comps-unknown-kind"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name

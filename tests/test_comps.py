@@ -93,6 +93,11 @@ def test_comparable_requires_some_metric():
         Comparable(name="empty", kind="trading")
 
 
+def test_comparable_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="comparable 'A': kind must be trading or transaction, got 'Transaction'"):
+        Comparable(name="A", kind="Transaction", multiples=RatioSet(ev_to_ebitda=9.0))
+
+
 def test_compset_requires_members():
     with pytest.raises(ValueError):
         CompSet(members=())
@@ -257,6 +262,11 @@ def test_load_comparables_splits_ratio_and_industry_columns():
     assert c.industry_metrics["capacity"] == (885.0, "units")
     assert c.industry_metrics["ev_per_unit"] == (1124.0, "USD/unit")
     assert c.date.year == 2005
+
+
+def test_load_comparables_names_the_row_of_an_unknown_kind():
+    with pytest.raises(ValueError, match="^row 3: comparable 'B': kind must be"):
+        load_comparables(io.StringIO("name,kind,ev_to_ebitda\nA,trading,9\nB,Transaction,8\n"))
 
 
 def test_load_comparables_fixture_round_numbers():

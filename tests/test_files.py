@@ -28,6 +28,7 @@ from dealdesk import (
     serialize_deals,
 )
 from dealdesk._files import open_text, write_rows
+from dealdesk.deals import REQUIRED_COLUMNS
 from dealdesk.report import write_atomic, write_rows_atomic
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "dealdesk"
@@ -176,9 +177,37 @@ def test_path_is_opened_as_utf8_and_closed(tmp_path):
 
 def test_only_the_helper_module_tells_paths_from_streams():
     # and the only one that writes CSV rows
-    for word in ("__fspath__", "csv.writer"):
+    for word in ("__fspath__", "csv.writer", "csv.DictReader"):
         users = sorted(p.name for p in SRC.glob("*.py") if word in p.read_text(encoding="utf-8"))
         assert users == ["_files.py"], word
+
+
+REGRESSION_ROLES = ("# role response = y\n# role institutional = a\n# role sectoral = s\n"
+                    "# role technological = t\n# role regime = r\n")
+
+# Every CSV loader, with a header it accepts.
+CSV_LOADERS = {
+    "parse_deals": (parse_deals, ",".join(REQUIRED_COLUMNS)),
+    "load_count_series": (load_count_series, "period,value"),
+    "load_return_series": (load_return_series, "date,firm_return,market_return"),
+    "load_comparables": (load_comparables, "name,kind,ev_to_ebitda"),
+    "load_target": (load_target, "name,net_debt,shares_outstanding"),
+    "load_snapshots": (load_snapshots, "as_of_date,revenue"),
+    "load_period_statements": (load_period_statements, "period_label,period_kind,start_date,end_date"),
+    "load_regression_spec": (load_regression_spec, REGRESSION_ROLES + "y,a,s,t,r"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_LOADERS)
+def test_a_cell_csv_refuses_raises_value_error_from_a_stream_as_from_a_path(name, tmp_path):
+    loader, header = CSV_LOADERS[name]
+    text = f"{header}\n{'x' * 200_000},1\n"
+    with pytest.raises(ValueError, match=r"^field larger than field limit \(131072\)$"):
+        loader(io.StringIO(text))
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field larger than field limit"):
+        loader(path)
 
 
 # Loaders that index rows by column name: a CSV lacking some of the columns
@@ -188,6 +217,7 @@ HEADERS = {
     "load_return_series": (load_return_series, "date,firm_return\n2005-01-03,0.01\n",
                            ("market_return",)),
     "load_count_series": (load_count_series, "period,count\n1,2\n", ("value",)),
+    "load_snapshots": (load_snapshots, "revenue\n400\n", ("as_of_date",)),
     "load_period_statements": (load_period_statements, "period_label,revenue\nFY2005,400\n",
                                ("period_kind", "start_date", "end_date")),
 }
@@ -214,14 +244,15 @@ BAD_ROWS = {
                           "value: expected a finite"),
     "load_snapshots": (load_snapshots, "as_of_date,revenue\n2005-12-31,400\n\n2006-12-31,1e999\n",
                        "revenue: expected a finite"),
+    "load_snapshots-blank-date": (load_snapshots, "as_of_date,revenue\n2005-12-31,400\n\n ,500\n",
+                                  "as_of_date: missing"),
     "load_period_statements": (load_period_statements,
                                "period_label,period_kind,start_date,end_date,revenue\n"
                                "FY2005,fiscal-year,2005-01-01,2005-12-31,400\n\n"
                                "FY2006,fiscal-year,2006-01-01,2006-12-31,x\n",
                                "revenue: could not convert"),
     "load_regression_spec": (load_regression_spec,
-                             "# role response = y\n# role institutional = a\n# role sectoral = s\n"
-                             "# role technological = t\n# role regime = r\ny,a,s,t,r\n"
+                             REGRESSION_ROLES + "y,a,s,t,r\n"
                              "1,2,3,4,0\n\n2,1,nan,2,1\n",
                              "s: expected a finite"),
 }

@@ -315,6 +315,11 @@ def test_quarter_span_checked():
         PeriodStatement("bad", "quarter", date(2006, 1, 1), date(2006, 7, 1), {})
 
 
+def test_period_kind_checked():
+    with pytest.raises(ValueError, match="period 'FY2005': period_kind must be fiscal-year or quarter, got 'year'"):
+        PeriodStatement("FY2005", "year", date(2005, 1, 1), date(2005, 12, 31), {})
+
+
 # --- CSV loading --------------------------------------------------------------
 
 SNAPSHOT_CSV = """as_of_date,revenue,ebitda,share_price,basic_shares,long_term_debt,cash_and_equivalents
@@ -341,3 +346,9 @@ def test_load_period_statements_extra_columns_are_line_items():
     periods = load_period_statements(io.StringIO(csv_text))
     assert periods[0].line_items == {"revenue": 400.0, "ebitda": 88.0}
     assert periods[1].line_items == {"revenue": 110.0}
+
+
+def test_load_period_statements_names_the_row_of_an_unknown_kind():
+    csv_text = "period_label,period_kind,start_date,end_date\nFY2005,year,2005-01-01,2005-12-31\n"
+    with pytest.raises(ValueError, match="^row 2: period 'FY2005': period_kind must be"):
+        load_period_statements(io.StringIO(csv_text))
