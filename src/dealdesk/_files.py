@@ -1,7 +1,7 @@
 """The one way every loader and writer opens its source or destination,
 the one way CSV rows are read and written, the one way a CSV loader
 checks its header and names a bad row, and the one way a cell is read as
-text and a cell or a flag as a number."""
+text, as a date or an integer, and a cell or a flag as a number."""
 from __future__ import annotations
 
 import contextlib
@@ -123,6 +123,15 @@ def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -
                 return number
             reason = f"expected a finite number, got {text!r}"
     raise ValueError(f"{name}: {reason}" if name else reason)
+
+
+def parse_cell(text: str, convert, name: str):
+    """``convert(text)``, such as ``date.fromisoformat`` or ``int``, with
+    any ``ValueError`` prefixed by the column ``name``, as in ``parse_number``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def text_cell(row, name: str) -> str:

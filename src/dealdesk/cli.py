@@ -21,7 +21,6 @@ from .errors import ConfigInvalidError, DealdeskError
 
 if TYPE_CHECKING:
     from . import waves
-    from .deals import DealRecord
 
 _TREND_DEFAULT_PARAMS = {
     "ideal": (10.0,),
@@ -303,17 +302,32 @@ def _analysis(
     return blocks, lines, d
 
 
-def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.CountSeries]:
-    """Parse and bucket the --deals list; returns the report's deal block and the measured series."""
+def _deal_series(args: argparse.Namespace) -> tuple[dict, waves.CountSeries]:
+    """Parse and bucket the --deals list; returns the report's deal block and the measured series.
+
+    The --target-country and --bidder-country filters, where the command
+    has them, compare fields of the parsed rows, so no ``DealRecord`` is built.
+    """
+    import dataclasses
+
     from . import deals
     result = deals.parse_deals(args.deals)
-    series = deals.aggregate_deals(result.records, args.bucketing, predicate)
+    # a row holds DealRecord's fields, in order
+    index = {field.name: i for i, field in enumerate(dataclasses.fields(deals.DealRecord))}
+    kept = result.rows
+    for name in ("target_country", "bidder_country"):
+        wanted = getattr(args, name, None)  # ingest has no country flags
+        if wanted:
+            i = index[name]
+            kept = [row for row in kept if row[i] == wanted]
+    announced, value = index["announced"], index["value_usdm"]
+    series = deals._aggregate([row[announced] for row in kept], [row[value] for row in kept], args.bucketing)
     measure = args.measure
     measured = series.counts if measure == "counts" else series.total_value
     block = {
         "bucketing": series.bucketing,
         "measure": measure,
-        "records": len(result.records),
+        "records": len(result.rows),
         "malformed": [
             {"row_number": m.row_number, "reason": m.reason} for m in result.malformed
         ],
@@ -325,17 +339,7 @@ def _deal_series(args: argparse.Namespace, predicate=None) -> tuple[dict, waves.
 
 
 def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
-    predicate = None
-    target_country, bidder_country = args.target_country, args.bidder_country
-    if target_country or bidder_country:
-        def predicate(d: DealRecord) -> bool:
-            if target_country and d.target_country != target_country:
-                return False
-            if bidder_country and d.bidder_country != bidder_country:
-                return False
-            return True
-
-    deals, measured = _deal_series(args, predicate)
+    deals, measured = _deal_series(args)
     blocks, diagnostic_lines, _ = _analysis(measured, args)
     payload = {
         "kind": "waves",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from typing import Literal, Mapping, Optional, Sequence
 
-from ._files import open_text, parse_number, read_rows, text_cell
+from ._files import open_text, parse_cell, parse_number, read_rows, text_cell
 from .errors import (
     ConfigInvalidError,
     MetricAbsentError,
@@ -293,7 +293,7 @@ def _comparable(row: dict) -> Comparable:
             continue
         if base == "date":
             if raw:
-                when = date.fromisoformat(raw)
+                when = parse_cell(raw, date.fromisoformat, key)
             continue
         if not raw:
             continue

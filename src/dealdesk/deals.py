@@ -30,7 +30,16 @@ REQUIRED_COLUMNS = (
     "value_usdm",
 )
 
-_ABSENT = {"", "-", "n/a", "na"}
+# Every casing of the absent tokens, so a cell is tested with one set
+# lookup instead of ``cell.lower() in {"", "-", "n/a", "na"}``. The two
+# agree on every cell: no code point outside ASCII lower-cases to a
+# string holding "n", "a", "/" or "-".
+_ABSENT = frozenset(
+    "".join(casing)
+    for token in ("", "-", "n/a", "na")
+    for casing in itertools.product(*({c.lower(), c.upper()} for c in token))
+)
+_REQUIRED_TEXT = ("target", "target_country", "bidder", "bidder_country")
 _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
@@ -59,10 +68,15 @@ class DealRecord:
         year, month = self.announced
         if not 1 <= month <= 12:
             raise ValueError(f"announced month must be 1..12, got {month}")
-        if self.stake_pct is not None and not 0.0 < self.stake_pct <= 1.0:
-            raise ValueError(f"stake_pct must be in (0, 1], got {self.stake_pct}")
-        if self.value_usdm is not None and self.value_usdm <= 0:
-            raise ValueError(f"value_usdm must be positive when present, got {self.value_usdm}")
+        _check_amounts(self.stake_pct, self.value_usdm)
+
+
+def _check_amounts(stake_pct: Optional[float], value_usdm: Optional[float]) -> None:
+    """The stake and value rules of a ``DealRecord``, which a parsed row meets too."""
+    if stake_pct is not None and not 0.0 < stake_pct <= 1.0:
+        raise ValueError(f"stake_pct must be in (0, 1], got {stake_pct}")
+    if value_usdm is not None and value_usdm <= 0:
+        raise ValueError(f"value_usdm must be positive when present, got {value_usdm}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +88,16 @@ class MalformedRow:
 
 @dataclass(frozen=True)
 class ParseResult:
-    records: tuple[DealRecord, ...]
+    """``rows`` holds each clean row as a plain tuple in ``DealRecord``
+    field order; ``records`` is built from them on first access."""
+
+    rows: tuple[tuple, ...]
     malformed: tuple[MalformedRow, ...] = ()
     warnings: tuple[str, ...] = ()
 
-
-def _absent(cell: str) -> bool:
-    # cells arrive stripped
-    return cell.lower() in _ABSENT
+    @functools.cached_property
+    def records(self) -> tuple[DealRecord, ...]:
+        return tuple(DealRecord(*row) for row in self.rows)
 
 
 def _parse_month_year(text: str) -> tuple[int, int]:
@@ -129,7 +145,7 @@ def parse_deals(source) -> ParseResult:
         # one when a name repeats, as in a read_rows row
         key = operator.itemgetter(*sorted(i for name, i in column.items() if name))
         months: dict[str, tuple[int, int]] = {}
-        records: list[DealRecord] = []
+        rows: list[tuple] = []
         malformed: list[MalformedRow] = []
         warnings: list[str] = []
         seen: set[tuple] = set()
@@ -142,7 +158,7 @@ def parse_deals(source) -> ParseResult:
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
             try:
-                record = _parse_row(fields(cells), months)
+                parsed = _parse_row(fields(cells), months)
             except ValueError as exc:
                 malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=_raw(header, row)))
                 continue
@@ -150,8 +166,8 @@ def parse_deals(source) -> ParseResult:
             if row_key in seen:
                 warnings.append(f"row {number}: exact duplicate of an earlier row, kept")
             seen.add(row_key)
-            records.append(record)
-        return ParseResult(records=tuple(records), malformed=tuple(malformed), warnings=tuple(warnings))
+            rows.append(parsed)
+        return ParseResult(rows=tuple(rows), malformed=tuple(malformed), warnings=tuple(warnings))
 
 
 def _raw(header: list[str], row: list[str]) -> dict:
@@ -165,30 +181,31 @@ def _raw(header: list[str], row: list[str]) -> dict:
     return raw
 
 
-def _parse_row(fields: tuple[str, ...], months: dict) -> DealRecord:
+def _parse_row(fields: tuple[str, ...], months: dict) -> tuple:
+    """One row's stripped cells, in ``REQUIRED_COLUMNS`` order, as a tuple
+    in ``DealRecord`` field order. Checks run as ``DealRecord(...)`` would
+    run them: the date, the required fields, the stake and value parses,
+    then the stake and value rules."""
     date, target, stake, target_country, bidder, bidder_country, seller, seller_country, value = fields
     announced = months.get(date)
     if announced is None:
         announced = months[date] = _parse_month_year(date)
-    for name, cell in (("target", target), ("target_country", target_country),
-                       ("bidder", bidder), ("bidder_country", bidder_country)):
-        if _absent(cell):
-            raise ValueError(f"required field {name} is blank")
+    required = (target, target_country, bidder, bidder_country)
+    if not _ABSENT.isdisjoint(required):
+        name = next(name for name, cell in zip(_REQUIRED_TEXT, required) if cell in _ABSENT)
+        raise ValueError(f"required field {name} is blank")
     stake_pct = None
-    if not _absent(stake):
+    if stake not in _ABSENT:
         stake_pct = _parse_number(stake)
         if stake_pct > 1.0:
             stake_pct /= 100.0
-    return DealRecord(
-        announced=announced,
-        target=target,
-        target_country=target_country,
-        bidder=bidder,
-        bidder_country=bidder_country,
-        stake_pct=stake_pct,
-        seller=None if _absent(seller) else seller,
-        seller_country=None if _absent(seller_country) else seller_country,
-        value_usdm=None if _absent(value) else _parse_number(value),
+    value_usdm = None if value in _ABSENT else _parse_number(value)
+    _check_amounts(stake_pct, value_usdm)
+    return (
+        announced, target, target_country, bidder, bidder_country, stake_pct,
+        None if seller in _ABSENT else seller,
+        None if seller_country in _ABSENT else seller_country,
+        value_usdm,
     )
 
 
@@ -253,21 +270,29 @@ def aggregate_deals(
     the float range raises ``ValueError`` naming its bucket.
     """
     kept = [d for d in deals if predicate is None or predicate(d)]
-    if not kept:
+    return _aggregate([d.announced for d in kept], [d.value_usdm for d in kept], bucketing)
+
+
+def _aggregate(
+    announced: Sequence[tuple[int, int]], values: Sequence[Optional[float]], bucketing: Bucketing
+) -> DealSeries:
+    """``aggregate_deals`` over the kept deals' ``announced`` and
+    ``value_usdm`` columns; totals add in the columns' order."""
+    if not announced:
         raise EmptyAfterFilterError("no deals left after filtering")
     per_year = _PER_YEAR[bucketing]
     # buckets numbered from year 0, so consecutive buckets differ by one
-    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in (d.announced for d in kept)]
+    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in announced]
     lo, hi = min(keys), max(keys)
     counts = [0] * (hi - lo + 1)
     totals = [0.0] * (hi - lo + 1)
     exclusions = 0
-    for deal, key in zip(kept, keys):
+    for key, value in zip(keys, values):
         counts[key - lo] += 1
-        if deal.value_usdm is None:
+        if value is None:
             exclusions += 1
         else:
-            totals[key - lo] += deal.value_usdm
+            totals[key - lo] += value
     labels = tuple(_bucket_label(k, bucketing) for k in range(lo, hi + 1))
     overflowed = next((label for label, total in zip(labels, totals) if not math.isfinite(total)), None)
     if overflowed is not None:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import parse_number, read_rows, text_cell
+from ._files import parse_cell, parse_number, read_rows, text_cell
 from ._floats import float_checked, least_squares_r
 from .errors import DegenerateRateError, DegenerateRegressorError, TooShortError
 
@@ -163,7 +163,7 @@ def load_return_series(source) -> ReturnSeries:
 
     def parse(row):
         nonlocal previous
-        day = date.fromisoformat(text_cell(row, "date"))
+        day = parse_cell(text_cell(row, "date"), date.fromisoformat, "date")
         if previous is not None and day <= previous:
             raise ValueError(f"date: {day} does not follow {previous}; dates must be strictly increasing")
         previous = day

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import parse_number, read_rows, text_cell
+from ._files import parse_cell, parse_number, read_rows, text_cell
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -429,9 +429,9 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
             if not raw:
                 continue
             if key in _DATE_FIELDS:
-                kwargs[key] = date.fromisoformat(raw)
+                kwargs[key] = parse_cell(raw, date.fromisoformat, key)
             elif key in _INT_FIELDS:
-                kwargs[key] = int(raw)
+                kwargs[key] = parse_cell(raw, int, key)
             else:
                 kwargs[key] = parse_number(raw, key)
         if "as_of_date" not in kwargs:
@@ -456,6 +456,6 @@ def load_period_statements(source) -> list[PeriodStatement]:
         },
         period_label=text_cell(row, "period_label"),
         period_kind=text_cell(row, "period_kind"),  # type: ignore[arg-type]
-        start_date=date.fromisoformat(text_cell(row, "start_date")),
-        end_date=date.fromisoformat(text_cell(row, "end_date")),
+        start_date=parse_cell(text_cell(row, "start_date"), date.fromisoformat, "start_date"),
+        end_date=parse_cell(text_cell(row, "end_date"), date.fromisoformat, "end_date"),
     ), fixed, "period statement CSV")

@@ -1,8 +1,11 @@
 """Deal-list parsing, serialization round trip, and bucketing."""
 import csv
+import dataclasses
 import io
+import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -14,7 +17,8 @@ from dealdesk import (
     parse_deals,
     serialize_deals,
 )
-from dealdesk.deals import YEAR_RANGE, _parse_month_year, _parse_number
+from dealdesk.cli import _deal_series, build_parser, main
+from dealdesk.deals import _ABSENT, YEAR_RANGE, _parse_month_year, _parse_number
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "swiss_deals_2012.csv"
 
@@ -327,6 +331,94 @@ def test_reader_matches_reference_on_generated_list():
     result = assert_same_as_reference(generated_deal_list(5000, seed=3))
     assert len(result.records) + len(result.malformed) == 5000
     assert result.malformed and result.warnings
+
+
+# A row failing two checks gets the reason of the one DealRecord(...) runs
+# first: the required fields, then the stake and value parses, then the
+# stake range, then the value sign.
+@pytest.mark.parametrize("row, reason", [
+    ("Apr 2012,T,150,CH,B,DE,S,US,x\n", "could not convert string to float: 'x'"),
+    ("Apr 2012,T,0,CH,B,DE,S,US,-5\n", "stake_pct must be in (0, 1], got 0.0"),
+    ("Apr 2012,T,abc,CH,,DE,S,US,10\n", "required field bidder is blank"),
+])
+def test_reader_matches_reference_on_rows_failing_two_checks(row, reason):
+    result = assert_same_as_reference(HEADER + GOOD + row)
+    assert [m.reason for m in result.malformed] == [reason]
+
+
+def test_absent_set_is_every_casing_of_the_absent_tokens():
+    for token in _REFERENCE_ABSENT:
+        for mask in range(2 ** len(token)):
+            cell = "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(token))
+            assert cell in _ABSENT, cell
+    for point in range(sys.maxunicode + 1):
+        cell = chr(point)
+        assert (cell in _ABSENT) == (cell.lower() in _REFERENCE_ABSENT), hex(point)
+        # and no longer cell lower-cases to a token: outside ASCII, no
+        # code point lower-cases to text holding a token's characters
+        if point >= 128:
+            assert not set(cell.lower()) & set("na/-"), hex(point)
+
+
+# --- parsed rows and lazily built records ----------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every DealRecord built while the test runs."""
+    records = []
+    check = DealRecord.__post_init__
+    monkeypatch.setattr(DealRecord, "__post_init__", lambda self: (records.append(self), check(self))[1])
+    return records
+
+
+def test_records_are_built_once_on_first_access(built):
+    text = generated_deal_list(500, seed=5)
+    result = parse_text(text)
+    assert built == []
+    records = result.records
+    assert len(built) == len(records) == len(result.rows)
+    assert result.records is records and len(built) == len(records)
+    assert list(records) == reference_parse(text)[0]
+    assert [tuple(getattr(r, f.name) for f in dataclasses.fields(DealRecord)) for r in records] == list(result.rows)
+
+
+def deal_list_files(tmp_path):
+    generated = tmp_path / "generated.csv"
+    generated.write_text(generated_deal_list(3000, seed=11), encoding="utf-8")
+    return {"fixture": (FIXTURE, "Switzerland", "United States"), "generated": (generated, "France", "Germany")}
+
+
+@pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
+@pytest.mark.parametrize("countries", [(0, None), (None, 1), (0, 1), ("Atlantis", None), (0, "Atlantis")])
+def test_waves_country_filters_match_aggregate_deals(tmp_path, built, capsys, bucketing, countries):
+    for name, (path, *known) in deal_list_files(tmp_path).items():
+        # an index picks a country the list holds; a name is one it does not
+        target, bidder = (known[c] if isinstance(c, int) else c for c in countries)
+        flags = [*(["--target-country", target] if target else []), *(["--bidder-country", bidder] if bidder else [])]
+        records = parse_deals(path).records
+
+        def predicate(d):
+            return (not target or d.target_country == target) and (not bidder or d.bidder_country == bidder)
+
+        try:
+            expected = aggregate_deals(records, bucketing, predicate)
+        except EmptyAfterFilterError as exc:
+            expected = exc
+        built.clear()
+        for measure in ("counts", "value"):
+            argv = ["waves", "--deals", str(path), "--bucketing", bucketing, "--measure", measure, *flags]
+            if isinstance(expected, EmptyAfterFilterError):
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert (code, out, json.loads(err)) == (1, "", expected.to_diagnostic()), name
+                continue
+            block, measured = _deal_series(build_parser().parse_args(argv))
+            want = expected.counts if measure == "counts" else expected.total_value
+            assert measured.timestamps == want.timestamps, name
+            assert measured.values.tolist() == want.values.tolist(), name
+            assert block["value_exclusions"] == expected.value_exclusions, name
+            assert block["buckets"] == len(want) and block["records"] == len(records), name
+        assert built == [], name  # the CLI builds no DealRecord
 
 
 # --- fixture ------------------------------------------------------------------

@@ -264,3 +264,28 @@ def test_bad_data_row_is_named(name):
     with pytest.raises(ValueError) as exc_info:
         loader(io.StringIO(text))
     assert str(exc_info.value).startswith(f"row 3: {reason}")
+
+
+# Loaders that read a date or an integer cell: a CSV whose row 2 holds a
+# bad one, and the whole diagnostic, which names the column.
+BAD_DATES = {
+    "load_return_series": (load_return_series, "date,firm_return,market_return\n2005/01/03,0.01,0.02\n",
+                           "row 2: date: Invalid isoformat string: '2005/01/03'"),
+    "load_comparables": (load_comparables, "name,kind,date,ev_to_ebitda\nA,trading,12 May 2005,9\n",
+                         "row 2: date: Invalid isoformat string: '12 May 2005'"),
+    "load_snapshots": (load_snapshots, "as_of_date,revenue\n31.12.2005,400\n",
+                       "row 2: as_of_date: Invalid isoformat string: '31.12.2005'"),
+    "load_snapshots-fiscal-year-end": (load_snapshots, "as_of_date,fiscal_year_end_month\n2005-12-31,Sep\n",
+                                       "row 2: fiscal_year_end_month: invalid literal for int() with base 10: 'Sep'"),
+    "load_period_statements": (load_period_statements, "period_label,period_kind,start_date,end_date\n"
+                               "FY2005,fiscal-year,2005-01-01,Q4 2005\n",
+                               "row 2: end_date: Invalid isoformat string: 'Q4 2005'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DATES)
+def test_bad_date_or_integer_cell_names_its_column(name):
+    loader, text, message = BAD_DATES[name]
+    with pytest.raises(ValueError) as exc_info:
+        loader(io.StringIO(text))
+    assert str(exc_info.value) == message
