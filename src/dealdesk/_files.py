@@ -20,13 +20,13 @@ def open_text(source, mode: str = "r"):
     An already open stream (or any iterable of lines) is yielded
     unchanged and left open. A path (``str``, ``bytes`` or path-like) is
     opened as UTF-8 with ``newline=""``, as the csv module expects, so
-    nothing is translated. A path that cannot be used (missing, a
-    directory, no permission) raises ``ConfigInvalidError`` naming it, so
-    the CLI exits 2. Bytes read from a path that are not UTF-8 raise
-    ``ValueError`` naming the path and the byte's offset in the file.
-    Text the csv module refuses (a field over its size limit) raises
-    ``ValueError`` from a stream as from a path, which it names. Mode
-    ``"w"`` writes a path atomically (see ``_replacing``).
+    nothing is translated; reading skips a leading byte-order mark. A path
+    that cannot be used (missing, a directory, no permission) raises
+    ``ConfigInvalidError`` naming it, so the CLI exits 2. Bytes read from
+    a path that are not UTF-8 raise ``ValueError`` naming the path and the
+    byte's offset in the file. Text the csv module refuses (a field over
+    its size limit) raises ``ValueError`` from a stream as from a path,
+    which it names. Mode ``"w"`` writes a path atomically (see ``_replacing``).
     """
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
         return _passing(source)
@@ -50,7 +50,7 @@ def _passing(stream):
 @contextlib.contextmanager
 def _reading(source):
     try:
-        stream = open(source, newline="", encoding="utf-8")
+        stream = open(source, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigInvalidError(f"cannot open {os.fsdecode(source)}: {exc.strerror}") from exc
     with stream:

@@ -308,25 +308,19 @@ def _deal_series(args: argparse.Namespace) -> tuple[dict, waves.CountSeries]:
     The --target-country and --bidder-country filters, where the command
     has them, compare fields of the parsed rows, so no ``DealRecord`` is built.
     """
-    import dataclasses
-
     from . import deals
     result = deals.parse_deals(args.deals)
-    # a row holds DealRecord's fields, in order
-    index = {field.name: i for i, field in enumerate(dataclasses.fields(deals.DealRecord))}
     kept = result.rows
     for name in ("target_country", "bidder_country"):
         wanted = getattr(args, name, None)  # ingest has no country flags
         if wanted:
-            i = index[name]
+            i = deals.DealRecord._fields.index(name)  # a row holds DealRecord's fields, in order
             kept = [row for row in kept if row[i] == wanted]
-    announced, value = index["announced"], index["value_usdm"]
-    series = deals._aggregate([row[announced] for row in kept], [row[value] for row in kept], args.bucketing)
-    measure = args.measure
-    measured = series.counts if measure == "counts" else series.total_value
+    series = deals.aggregate_deals(kept, args.bucketing)
+    measured = series.counts if args.measure == "counts" else series.total_value
     block = {
         "bucketing": series.bucketing,
-        "measure": measure,
+        "measure": args.measure,
         "records": len(result.rows),
         "malformed": [
             {"row_number": m.row_number, "reason": m.reason} for m in result.malformed

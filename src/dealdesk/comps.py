@@ -312,18 +312,20 @@ def _comparable(row: dict) -> Comparable:
 
 def load_target(source) -> TargetProfile:
     """Read the single-row target CSV: name, net_debt, shares_outstanding, metrics."""
-    rows = read_rows(source, dict)
-    if len(rows) != 1:
-        raise ConfigInvalidError(f"target file must contain exactly one row, found {len(rows)}")
-    row = rows[0]
-    fixed = {"name", "net_debt", "shares_outstanding"}
+    targets = read_rows(source, _target)
+    if len(targets) != 1:
+        raise ConfigInvalidError(f"target file must contain exactly one row, found {len(targets)}")
+    return targets[0]
+
+
+def _target(row: dict) -> TargetProfile:
     missing = [c for c in ("net_debt", "shares_outstanding") if not (row.get(c) or "").strip()]
     if missing:
         raise ConfigInvalidError(f"target file missing required columns: {', '.join(missing)}")
     metrics = {
         k.strip(): parse_number(v, k.strip())
         for k, v in row.items()
-        if k is not None and k.strip() not in fixed and (v or "").strip()
+        if k is not None and k.strip() not in ("name", "net_debt", "shares_outstanding") and (v or "").strip()
     }
     return TargetProfile(
         name=(row.get("name") or "target").strip(),

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 from ._files import open_text, parse_number, require_columns, write_rows
 from .errors import EmptyAfterFilterError
@@ -50,10 +50,7 @@ _MONTH_ABBREV = {v: k.capitalize() for k, v in _MONTHS.items()}
 YEAR_RANGE = (1900, 2100)
 
 
-@dataclass(frozen=True, slots=True)
-class DealRecord:
-    """One announced transaction."""
-
+class _DealFields(NamedTuple):
     announced: tuple[int, int]
     target: str
     target_country: str
@@ -64,11 +61,21 @@ class DealRecord:
     seller_country: Optional[str] = None
     value_usdm: Optional[float] = None
 
-    def __post_init__(self):
+
+class DealRecord(_DealFields):
+    """One announced transaction, checked by its constructor, ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):  # runs once tuple.__new__ has set the fields
         year, month = self.announced
         if not 1 <= month <= 12:
             raise ValueError(f"announced month must be 1..12, got {month}")
         _check_amounts(self.stake_pct, self.value_usdm)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _check_amounts(stake_pct: Optional[float], value_usdm: Optional[float]) -> None:
@@ -88,8 +95,8 @@ class MalformedRow:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """``rows`` holds each clean row as a plain tuple in ``DealRecord``
-    field order; ``records`` is built from them on first access."""
+    """``rows`` holds each clean row as a plain tuple in ``DealRecord`` field
+    order; ``records``, the same rows as ``DealRecord``s, built on first access."""
 
     rows: tuple[tuple, ...]
     malformed: tuple[MalformedRow, ...] = ()
@@ -97,7 +104,8 @@ class ParseResult:
 
     @functools.cached_property
     def records(self) -> tuple[DealRecord, ...]:
-        return tuple(DealRecord(*row) for row in self.rows)
+        # _parse_row ran DealRecord's checks, so they are not run again
+        return tuple(map(functools.partial(tuple.__new__, DealRecord), self.rows))
 
 
 def _parse_month_year(text: str) -> tuple[int, int]:
@@ -246,6 +254,8 @@ class DealSeries:
 
 
 _PER_YEAR = {"month": 12, "quarter": 4, "year": 1}
+_announced = operator.itemgetter(DealRecord._fields.index("announced"))
+_value_usdm = operator.itemgetter(DealRecord._fields.index("value_usdm"))
 
 
 def _bucket_label(index: int, bucketing: Bucketing) -> str:
@@ -264,30 +274,23 @@ def aggregate_deals(
 ) -> DealSeries:
     """Bucket deals into counts and value totals, zero-filling gaps.
 
-    Buckets run contiguously from the earliest to the latest retained
-    deal. Deals without a value still count; they are excluded from the
-    totals and tallied in ``value_exclusions``. A total that overflows
-    the float range raises ``ValueError`` naming its bucket.
+    ``deals`` are ``DealRecord``s or ``ParseResult.rows``, read by position,
+    and ``predicate`` sees each as given. Buckets run contiguously from the
+    earliest to the latest kept deal. Deals without a value still count;
+    they are excluded from the totals and tallied in ``value_exclusions``.
+    A total that overflows the float range raises ``ValueError`` naming its bucket.
     """
-    kept = [d for d in deals if predicate is None or predicate(d)]
-    return _aggregate([d.announced for d in kept], [d.value_usdm for d in kept], bucketing)
-
-
-def _aggregate(
-    announced: Sequence[tuple[int, int]], values: Sequence[Optional[float]], bucketing: Bucketing
-) -> DealSeries:
-    """``aggregate_deals`` over the kept deals' ``announced`` and
-    ``value_usdm`` columns; totals add in the columns' order."""
-    if not announced:
+    kept = list(deals) if predicate is None else [d for d in deals if predicate(d)]
+    if not kept:
         raise EmptyAfterFilterError("no deals left after filtering")
     per_year = _PER_YEAR[bucketing]
     # buckets numbered from year 0, so consecutive buckets differ by one
-    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in announced]
+    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in map(_announced, kept)]
     lo, hi = min(keys), max(keys)
     counts = [0] * (hi - lo + 1)
     totals = [0.0] * (hi - lo + 1)
     exclusions = 0
-    for key, value in zip(keys, values):
+    for key, value in zip(keys, map(_value_usdm, kept)):
         counts[key - lo] += 1
         if value is None:
             exclusions += 1

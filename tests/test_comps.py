@@ -293,6 +293,15 @@ def test_load_target_requires_single_row_and_bridge_columns():
         load_target(io.StringIO("name,net_debt,ltm_ebitda\nt,250,88\n"))
 
 
+def test_load_target_names_the_row_of_a_bad_cell():
+    header = "name,net_debt,shares_outstanding,ltm_ebitda\n"
+    for row, message in (("t,250,55.7,x", "ltm_ebitda: could not convert string to float: 'x'"),
+                         ("t,2 50,55.7,88", "net_debt: could not convert string to float: '2 50'")):
+        with pytest.raises(ValueError) as exc_info:
+            load_target(io.StringIO(header + row + "\n"))
+        assert str(exc_info.value) == f"row 2: {message}"
+
+
 def test_load_ranges_parses_bands_and_basis():
     ini = "[trading]\nltm_ebitda = 9.5..10.5\neps = 10..12 equity\n[transaction]\ncapacity = 1300..1400\n"
     ranges = load_ranges(io.StringIO(ini))

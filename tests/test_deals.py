@@ -1,6 +1,5 @@
 """Deal-list parsing, serialization round trip, and bucketing."""
 import csv
-import dataclasses
 import io
 import json
 import pathlib
@@ -13,6 +12,7 @@ from dealdesk import (
     DealRecord,
     EmptyAfterFilterError,
     HeaderMismatchError,
+    ParseResult,
     aggregate_deals,
     parse_deals,
     serialize_deals,
@@ -121,6 +121,31 @@ def test_record_validation():
     with pytest.raises(ValueError):
         DealRecord(announced=(2012, 1), target="T", target_country="CH", bidder="B",
                    bidder_country="DE", value_usdm=0.0)
+
+
+BAD_FIELDS = [
+    ("announced", (2012, 13), "announced month must be 1..12, got 13"),
+    ("stake_pct", 0.0, r"stake_pct must be in \(0, 1\], got 0.0"),
+    ("value_usdm", -1.0, "value_usdm must be positive when present, got -1.0"),
+]
+BUILDERS = {
+    "constructor": lambda fields: DealRecord(**fields),
+    "_make": lambda fields: DealRecord._make(fields.values()),
+    "_replace": lambda fields: DealRecord(announced=(2012, 1), target="T", target_country="CH",
+                                          bidder="B", bidder_country="DE")._replace(**fields),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("field, bad, message", BAD_FIELDS)
+def test_every_way_of_building_a_record_checks_it(builder, field, bad, message):
+    fields = {"announced": (2012, 1), "target": "T", "target_country": "CH", "bidder": "B",
+              "bidder_country": "DE", "stake_pct": 0.5, "seller": None, "seller_country": None,
+              "value_usdm": 10.0}
+    assert BUILDERS[builder](fields) == tuple(fields.values())
+    fields[field] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BUILDERS[builder](fields)
 
 
 # --- year bound and finite numbers ---------------------------------------------
@@ -363,23 +388,29 @@ def test_absent_set_is_every_casing_of_the_absent_tokens():
 # --- parsed rows and lazily built records ----------------------------------------
 
 @pytest.fixture
-def built(monkeypatch):
-    """Every DealRecord built while the test runs."""
-    records = []
-    check = DealRecord.__post_init__
-    monkeypatch.setattr(DealRecord, "__post_init__", lambda self: (records.append(self), check(self))[1])
-    return records
+def records_reads(monkeypatch):
+    """Every ParseResult whose records are read while the test runs."""
+    reads = []
+    build = ParseResult.records.func
+    monkeypatch.setattr(ParseResult, "records", property(lambda self: (reads.append(self), build(self))[1]))
+    return reads
 
 
-def test_records_are_built_once_on_first_access(built):
+def test_records_are_built_once_on_first_access():
     text = generated_deal_list(500, seed=5)
     result = parse_text(text)
-    assert built == []
+    assert "records" not in vars(result)  # parsing builds no DealRecord
     records = result.records
-    assert len(built) == len(records) == len(result.rows)
-    assert result.records is records and len(built) == len(records)
+    assert result.records is records and vars(result)["records"] is records
     assert list(records) == reference_parse(text)[0]
-    assert [tuple(getattr(r, f.name) for f in dataclasses.fields(DealRecord)) for r in records] == list(result.rows)
+    assert records == result.rows
+    assert {type(r) for r in records} == {DealRecord} and {type(r) for r in result.rows} == {tuple}
+
+
+@pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
+def test_rows_and_records_bucket_alike(bucketing):
+    result = parse_text(generated_deal_list(2000, seed=7))
+    assert aggregate_deals(result.rows, bucketing) == aggregate_deals(result.records, bucketing)
 
 
 def deal_list_files(tmp_path):
@@ -390,7 +421,7 @@ def deal_list_files(tmp_path):
 
 @pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
 @pytest.mark.parametrize("countries", [(0, None), (None, 1), (0, 1), ("Atlantis", None), (0, "Atlantis")])
-def test_waves_country_filters_match_aggregate_deals(tmp_path, built, capsys, bucketing, countries):
+def test_waves_country_filters_match_aggregate_deals(tmp_path, records_reads, capsys, bucketing, countries):
     for name, (path, *known) in deal_list_files(tmp_path).items():
         # an index picks a country the list holds; a name is one it does not
         target, bidder = (known[c] if isinstance(c, int) else c for c in countries)
@@ -404,7 +435,7 @@ def test_waves_country_filters_match_aggregate_deals(tmp_path, built, capsys, bu
             expected = aggregate_deals(records, bucketing, predicate)
         except EmptyAfterFilterError as exc:
             expected = exc
-        built.clear()
+        records_reads.clear()
         for measure in ("counts", "value"):
             argv = ["waves", "--deals", str(path), "--bucketing", bucketing, "--measure", measure, *flags]
             if isinstance(expected, EmptyAfterFilterError):
@@ -418,7 +449,7 @@ def test_waves_country_filters_match_aggregate_deals(tmp_path, built, capsys, bu
             assert measured.values.tolist() == want.values.tolist(), name
             assert block["value_exclusions"] == expected.value_exclusions, name
             assert block["buckets"] == len(want) and block["records"] == len(records), name
-        assert built == [], name  # the CLI builds no DealRecord
+        assert records_reads == [], name  # the CLI never reads ParseResult.records
 
 
 # --- fixture ------------------------------------------------------------------

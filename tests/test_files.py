@@ -1,5 +1,7 @@
 """Path-or-stream opening and CSV header checks: every loader and writer
 goes through one helper for each."""
+import ast
+import codecs
 import csv
 import io
 import os
@@ -159,6 +161,17 @@ def test_undecodable_byte_offset_counts_from_the_file_start(offset, tmp_path):
                 pass
 
 
+@pytest.mark.parametrize("offset", [0, 8188, 70000])
+def test_undecodable_byte_offset_counts_a_byte_order_mark(offset, tmp_path):
+    # the mark takes three bytes, so at offset 8188 "é" straddles the first chunk
+    path = tmp_path / "x.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"a" * offset + "é".encode() + b"\xff" + b"b" * 100)
+    with pytest.raises(ValueError, match=f"at byte {offset + 5}:"):
+        with open_text(path) as f:
+            for _ in f:
+                pass
+
+
 def test_open_stream_passes_through_and_stays_open():
     stream = io.StringIO("a,b\n")
     with open_text(stream) as got:
@@ -182,25 +195,57 @@ def test_only_the_helper_module_tells_paths_from_streams():
         assert users == ["_files.py"], word
 
 
+def test_no_module_reads_another_modules_private_name():
+    # The benchmark's spans wrap public module attributes only, so a call
+    # through a private name runs unseen.
+    modules = {p.stem for p in SRC.glob("*.py")}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                names = [node.attr]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+            assert private == [], f"{path.name}:{node.lineno}"
+
+
 REGRESSION_ROLES = ("# role response = y\n# role institutional = a\n# role sectoral = s\n"
                     "# role technological = t\n# role regime = r\n")
 
-# Every CSV loader, with a header it accepts.
+# Every CSV loader, with a header it accepts and a row it loads.
 CSV_LOADERS = {
-    "parse_deals": (parse_deals, ",".join(REQUIRED_COLUMNS)),
-    "load_count_series": (load_count_series, "period,value"),
-    "load_return_series": (load_return_series, "date,firm_return,market_return"),
-    "load_comparables": (load_comparables, "name,kind,ev_to_ebitda"),
-    "load_target": (load_target, "name,net_debt,shares_outstanding"),
-    "load_snapshots": (load_snapshots, "as_of_date,revenue"),
-    "load_period_statements": (load_period_statements, "period_label,period_kind,start_date,end_date"),
-    "load_regression_spec": (load_regression_spec, REGRESSION_ROLES + "y,a,s,t,r"),
+    "parse_deals": (parse_deals, ",".join(REQUIRED_COLUMNS), "Apr 2012,T,50,CH,B,DE,S,US,10"),
+    "load_count_series": (load_count_series, "period,value", "2012-01,1"),
+    "load_return_series": (load_return_series, "date,firm_return,market_return", "2005-01-03,0.01,0.02"),
+    "load_comparables": (load_comparables, "name,kind,ev_to_ebitda", "A,trading,9"),
+    "load_target": (load_target, "name,net_debt,shares_outstanding", "t,250,55.7"),
+    "load_snapshots": (load_snapshots, "as_of_date,revenue", "2005-12-31,400"),
+    "load_period_statements": (load_period_statements, "period_label,period_kind,start_date,end_date",
+                               "FY2005,fiscal-year,2005-01-01,2005-12-31"),
+    "load_regression_spec": (load_regression_spec, REGRESSION_ROLES + "y,a,s,t,r", "1,2,3,4,0"),
 }
+
+# Every text loader, with a file it loads.
+LOADED_FILES = {
+    **{name: (loader, f"{header}\n{row}\n") for name, (loader, header, row) in CSV_LOADERS.items()},
+    "load_ranges": (load_ranges, "[trading]\nltm_ebitda = 9.5..10.5\n"),
+}
+
+
+@pytest.mark.parametrize("name", LOADED_FILES)
+def test_a_path_starting_with_a_byte_order_mark_loads_as_the_text_after_it(name, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    loader, text = LOADED_FILES[name]
+    path = tmp_path / "exported.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert loader(path) == loader(io.StringIO(text))
 
 
 @pytest.mark.parametrize("name", CSV_LOADERS)
 def test_a_cell_csv_refuses_raises_value_error_from_a_stream_as_from_a_path(name, tmp_path):
-    loader, header = CSV_LOADERS[name]
+    loader, header, _ = CSV_LOADERS[name]
     text = f"{header}\n{'x' * 200_000},1\n"
     with pytest.raises(ValueError, match=r"^field larger than field limit \(131072\)$"):
         loader(io.StringIO(text))
