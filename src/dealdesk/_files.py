@@ -8,7 +8,7 @@ import contextlib
 import csv
 import math
 import os
-import types
+import sys
 from typing import Optional
 
 from .errors import ConfigInvalidError, HeaderMismatchError
@@ -88,19 +88,57 @@ def _replacing(dest):
         raise
 
 
-def write_rows(dest, rows) -> None:
-    """Write CSV ``rows`` with LF endings, streamed to a path (atomically) or
-    an open stream: the one place a cell turns into text. A ``str`` is written
-    as it is, a number as csv writes it (``repr`` for a float) and ``None``
-    blank; a cell holding a comma, a quote, CR or LF is quoted. A cell csv
-    cannot write (NUL, before 3.11) raises ``ValueError``."""
+_ROWS_PER_WRITE = 1 << 12
+
+
+def write_rows(dest, header, columns) -> None:
+    """Write the ``header`` row, then the rows of the equal-length ``columns``,
+    as CSV with LF endings to a path (atomically) or an open stream: the one
+    place a cell turns into text. A ``str`` is written as it is, a number as
+    ``str`` gives it (``repr`` for a float) and ``None`` blank; a cell holding
+    a comma, a quote, CR or LF is quoted, and a row of one empty cell is
+    ``""``, as ``csv.QUOTE_MINIMAL`` writes them. A cell holding NUL raises
+    ``ValueError`` before Python 3.11, as csv refuses it there. Each column
+    is turned into text once, and each block of rows is written at once."""
+    columns = list(columns)
+    length = len(columns[0]) if columns else 0
+    if any(len(column) != length for column in columns):
+        raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
     with open_text(dest, "w") as stream:
-        # csv before 3.13 quotes a CR cell only with CR in its row ending: write CRLF, end rows LF
-        lf_rows = types.SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
-        try:
-            csv.writer(lf_rows, lineterminator="\r\n").writerows(rows)
-        except csv.Error as exc:  # not a ValueError
-            raise ValueError(f"cannot write a CSV row: {exc}") from exc
+        stream.write(_csv_text([[cell] for cell in header], 1))
+        for start in range(0, length, _ROWS_PER_WRITE):
+            block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
+            stream.write(_csv_text(block, len(block[0])))
+
+
+def _csv_text(columns, rows: int) -> str:
+    """The CSV text of ``rows`` rows read across ``columns``, each row ending in LF."""
+    texts = list(map(_cell_texts, columns))
+    text = "\n".join(map(",".join, zip(*texts))) + "\n"
+    # no cell needs quotes if the text holds no quote or CR, and only the
+    # commas and LFs that the block's shape puts there
+    if ('"' in text or "\r" in text or text.count(",") > rows * (len(texts) - 1) or text.count("\n") > rows
+            or (len(texts) == 1 and "" in texts[0])):
+        texts = [list(map(_quoted, column)) for column in texts]
+        if len(texts) == 1:  # csv quotes a lone empty cell, so the row is not blank
+            texts[0] = [cell or '""' for cell in texts[0]]
+        text = "\n".join(map(",".join, zip(*texts))) + "\n"
+    if sys.version_info < (3, 11) and "\x00" in text:
+        raise ValueError("cannot write a CSV cell holding NUL before Python 3.11")
+    return text
+
+
+def _cell_texts(cells) -> list:
+    texts = list(map(str, cells))
+    if "None" in texts:  # None is written blank, the text "None" as it is
+        texts = ["" if cell is None else text for cell, text in zip(cells, texts)]
+    return texts
+
+
+def _quoted(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -> float:

@@ -368,11 +368,11 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
     blocks, diagnostic_lines, d = _analysis(series, args)
 
     # every value is computed before the first file is written
-    plot_rows = waves.plot_data_rows(series, d.smoothed, d.polynomial_fit) if args.plot_out else None
+    plot = waves.plot_data_rows(series, d.smoothed, d.polynomial_fit) if args.plot_out else None
     if args.series_out:
         waves.save_count_series(series, args.series_out)
     if args.plot_out:
-        report.write_rows_atomic(args.plot_out, plot_rows)
+        report.write_rows_atomic(args.plot_out, *plot)
 
     payload = {
         "kind": "simulation",

@@ -311,11 +311,15 @@ def _comparable(row: dict) -> Comparable:
 
 
 def load_target(source) -> TargetProfile:
-    """Read the single-row target CSV: name, net_debt, shares_outstanding, metrics."""
-    targets = read_rows(source, _target)
-    if len(targets) != 1:
-        raise ConfigInvalidError(f"target file must contain exactly one row, found {len(targets)}")
-    return targets[0]
+    """Read the single-row target CSV: name, net_debt, shares_outstanding,
+    metrics. The rows are counted before any cell is parsed."""
+    rows = read_rows(source, dict)
+    if len(rows) != 1:
+        raise ConfigInvalidError(f"target file must contain exactly one row, found {len(rows)}")
+    try:
+        return _target(rows[0])
+    except ValueError as exc:  # numbered as read_rows numbers rows
+        raise ValueError(f"row 2: {exc}") from exc
 
 
 def _target(row: dict) -> TargetProfile:

@@ -233,7 +233,7 @@ def serialize_deals(records: Sequence[DealRecord], dest) -> None:
             "n/a" if r.value_usdm is None else r.value_usdm,
         ]
 
-    write_rows(dest, itertools.chain([REQUIRED_COLUMNS], map(cells, records)))
+    write_rows(dest, REQUIRED_COLUMNS, zip(*map(cells, records)))
 
 
 Bucketing = Literal["month", "quarter", "year"]

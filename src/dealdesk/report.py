@@ -150,6 +150,6 @@ def write_atomic(path, data: str) -> None:
         f.write(data)
 
 
-def write_rows_atomic(path, rows: Iterable[Sequence]) -> None:
-    """CSV variant of write_atomic: LF rows streamed into the temp file."""
-    write_rows(path, rows)
+def write_rows_atomic(path, header: Sequence, columns: Iterable[Sequence]) -> None:
+    """CSV variant of write_atomic: the header, then the columns' LF rows, written into the temp file."""
+    write_rows(path, header, columns)

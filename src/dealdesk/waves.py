@@ -9,9 +9,8 @@ look quasi-periodic with no cycle in the raw data.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -316,16 +315,15 @@ def load_count_series(source) -> CountSeries:
 
 def save_count_series(s: CountSeries, dest) -> None:
     """Write (period,value) rows; inverse of load_count_series."""
-    write_rows(dest, itertools.chain([("period", "value")], zip(s.timestamps, s.values.tolist())))
+    write_rows(dest, ("period", "value"), (s.timestamps, s.values.tolist()))
 
 
 @float_checked
-def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> Iterator[tuple]:
-    """Rows (period, raw, smoothed, poly_fit) for external plotting, header
-    first, read lazily from columns computed here. Smoothed and fitted cells
-    are ``None`` (written blank) before the first full window."""
+def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> tuple[tuple, list]:
+    """The header and columns (period, raw, smoothed, poly_fit) for external
+    plotting, as ``report.write_rows_atomic`` takes them. Smoothed and fitted
+    cells are ``None`` (written blank) before the first full window."""
     fitted = poly(np.arange(1, len(smoothed) + 1, dtype=float)).tolist()
-    pad = (None,) * (len(raw) - len(smoothed))
-    columns = (raw.timestamps, raw.values.tolist(), itertools.chain(pad, smoothed.values.tolist()),
-               itertools.chain(pad, fitted))
-    return itertools.chain([("period", "raw", "smoothed", "poly_fit")], zip(*columns))
+    pad = [None] * (len(raw) - len(smoothed))
+    columns = [raw.timestamps, raw.values.tolist(), pad + smoothed.values.tolist(), pad + fitted]
+    return ("period", "raw", "smoothed", "poly_fit"), columns

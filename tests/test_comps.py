@@ -302,6 +302,17 @@ def test_load_target_names_the_row_of_a_bad_cell():
         assert str(exc_info.value) == f"row 2: {message}"
 
 
+def test_load_target_counts_rows_before_parsing_cells():
+    header = "name,net_debt,shares_outstanding,ltm_ebitda\n"
+    for rows in ("t,250,55.7,88\nu,250,55.7,x\n", "t,250,55.7,x\nu,250,55.7,88\n", "t,x,,\nu,,,\nv,,,\n"):
+        with pytest.raises(ConfigInvalidError) as exc_info:
+            load_target(io.StringIO(header + rows))
+        count = rows.count("\n")
+        assert str(exc_info.value) == f"target file must contain exactly one row, found {count}"
+    with pytest.raises(ValueError, match="^row 2: ltm_ebitda: could not convert string to float: 'x'$"):
+        load_target(io.StringIO(header + "t,250,55.7,x\n"))
+
+
 def test_load_ranges_parses_bands_and_basis():
     ini = "[trading]\nltm_ebitda = 9.5..10.5\neps = 10..12 equity\n[transaction]\ncapacity = 1300..1400\n"
     ranges = load_ranges(io.StringIO(ini))

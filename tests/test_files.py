@@ -7,10 +7,13 @@ import io
 import os
 import pathlib
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dealdesk import (
     ConfigInvalidError,
@@ -29,7 +32,7 @@ from dealdesk import (
     save_count_series,
     serialize_deals,
 )
-from dealdesk._files import open_text, write_rows
+from dealdesk._files import _ROWS_PER_WRITE, open_text, write_rows
 from dealdesk.deals import REQUIRED_COLUMNS
 from dealdesk.report import write_atomic, write_rows_atomic
 
@@ -63,22 +66,37 @@ def test_directory_path_raises_config_invalid(name, tmp_path):
 WRITERS = {
     **{name: OPENERS[name] for name in ("serialize_deals", "save_count_series")},
     "write_atomic": lambda dest: write_atomic(dest, "x\n"),
-    "write_rows_atomic": lambda dest: write_rows_atomic(dest, [["x"]]),
+    "write_rows_atomic": lambda dest: write_rows_atomic(dest, ["x"], []),
 }
 
 
-def rows_then_fail(rows):
-    yield from rows
-    raise RuntimeError("interrupted")
+class Interrupting:
+    """A cell whose text cannot be made, placed after the first block of
+    rows: its ``str`` checks that the temp file beside ``dest`` already
+    holds that block, then raises."""
+
+    def __init__(self, dest):
+        self.dest = dest
+
+    def __str__(self):
+        temps = [p for p in self.dest.parent.iterdir() if p.name.startswith(".tmp-")]
+        assert [p.stat().st_size > 0 for p in temps] == [True]
+        raise RuntimeError("interrupted")
+
+
+def serialize_interrupted_deals(dest):
+    deal = parse_deals(DATA / "swiss_deals_2012.csv").records[0]
+    serialize_deals((deal,) * _ROWS_PER_WRITE + (deal._replace(target=Interrupting(dest)),), dest)
 
 
 FAILING_WRITERS = {
-    "serialize_deals": lambda dest: serialize_deals(
-        rows_then_fail(parse_deals(DATA / "swiss_deals_2012.csv").records[:2]), dest),
+    "serialize_deals": serialize_interrupted_deals,
     "save_count_series": lambda dest: save_count_series(
-        SimpleNamespace(timestamps=rows_then_fail(["1", "2"]), values=np.array([1.0, 2.0, 3.0])), dest),
+        SimpleNamespace(timestamps=("1",) * _ROWS_PER_WRITE + (Interrupting(dest),),
+                        values=np.ones(_ROWS_PER_WRITE + 1)), dest),
     "write_atomic": lambda dest: write_atomic(dest, None),
-    "write_rows_atomic": lambda dest: write_rows_atomic(dest, rows_then_fail([["a", "b"], ["1", "2"]])),
+    "write_rows_atomic": lambda dest: write_rows_atomic(
+        dest, ["a", "b"], [["1"] * (_ROWS_PER_WRITE + 1), ["2"] * _ROWS_PER_WRITE + [Interrupting(dest)]]),
 }
 
 
@@ -109,7 +127,7 @@ def test_writers_stream_lf_rows_to_open_streams_too():
 
 def test_write_rows_formats_every_cell():
     buffer = io.StringIO(newline="")
-    write_rows(buffer, [["a\rb", "c\nd", 'e"f', "g,h", " i ", None, 1.5, np.float64(0.1), 1e16, 7, "n/a"]])
+    write_rows(buffer, ["a\rb", "c\nd", 'e"f', "g,h", " i ", None, 1.5, np.float64(0.1), 1e16, 7, "n/a"], [])
     assert buffer.getvalue() == '"a\rb","c\nd","e""f","g,h", i ,,1.5,0.1,1e+16,7,n/a\n'
 
 
@@ -117,11 +135,73 @@ def test_a_nul_cell_round_trips_or_raises_value_error():
     # csv writes NUL from Python 3.11 on and refuses it before
     buffer = io.StringIO(newline="")
     try:
-        write_rows(buffer, [["a\x00b"]])
+        write_rows(buffer, ["a\x00b"], [])
     except ValueError:
         return
     buffer.seek(0)
     assert list(csv.reader(buffer)) == [["a\x00b"]]
+
+
+def oracle_csv(header, columns) -> str:
+    """The rows as the writer wrote them through csv.writer: CRLF endings,
+    since csv before 3.13 quotes a CR cell only with CR in its row ending,
+    each cut to LF."""
+    rows = []
+    lf_rows = SimpleNamespace(write=lambda row: rows.append(row[:-2] + "\n"))
+    csv.writer(lf_rows, lineterminator="\r\n").writerows([header, *zip(*columns)])
+    return "".join(rows)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # around the first difference only: pytest's diff of two long texts takes minutes
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert got[max(at - 40, 0):at + 40] == want[max(at - 40, 0):at + 40], f"first difference at {at}"
+
+
+# csv writes NUL from Python 3.11 on and refuses it before
+TEXT_CELLS = st.text(st.sampled_from(',"\r\n ab' + ("\x00" if sys.version_info >= (3, 11) else "")), max_size=4)
+CELLS = st.one_of(
+    TEXT_CELLS, st.none(), st.floats(), st.integers(), st.booleans(),
+    st.sampled_from([np.float64(0.1), np.float64(-2.5), -0.0, 1e16, 5e-324, "", "None"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(1, 6).flatmap(lambda width: st.tuples(
+    st.lists(CELLS, min_size=width, max_size=width),
+    st.lists(st.lists(CELLS, min_size=width, max_size=width), min_size=1, max_size=4),
+    st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=3),
+    st.sampled_from([0, 1, 2, 3, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1]),
+)))
+def test_write_rows_writes_what_csv_writer_wrote(case):
+    # ``lead`` rows repeat up to the ``tail`` rows, which end the file, so
+    # at a block boundary a cell that needs quoting may sit in the last block only
+    header, lead, tail, length = case
+    rows = ([lead[i % len(lead)] for i in range(length)] + tail)[len(tail):]
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in header]
+    buffer = io.StringIO(newline="")
+    write_rows(buffer, header, columns)
+    assert_same_text(buffer.getvalue(), oracle_csv(header, columns))
+
+
+def test_no_write_holds_more_than_one_block_of_rows():
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    stream = Recorder()
+    length = 2 * _ROWS_PER_WRITE + 1
+    write_rows(stream, ("n", "text"), (range(length), ["a\nb"] * length))
+    assert [text.count("\n") for text in stream.writes] == [1, 2 * _ROWS_PER_WRITE, 2 * _ROWS_PER_WRITE, 2]
+    assert_same_text("".join(stream.writes), oracle_csv(("n", "text"), (range(length), ["a\nb"] * length)))
+
+
+def test_write_rows_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="unequal length"):
+        write_rows(io.StringIO(), ("a", "b"), ([1, 2], [3]))
 
 
 def test_cells_holding_cr_read_back():
@@ -189,10 +269,11 @@ def test_path_is_opened_as_utf8_and_closed(tmp_path):
 
 
 def test_only_the_helper_module_tells_paths_from_streams():
-    # and the only one that writes CSV rows
-    for word in ("__fspath__", "csv.writer", "csv.DictReader"):
-        users = sorted(p.name for p in SRC.glob("*.py") if word in p.read_text(encoding="utf-8"))
-        assert users == ["_files.py"], word
+    # and the only one that writes CSV rows, which it does without csv.writer
+    texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    for word in ("__fspath__", "def write_rows(", "csv.DictReader"):
+        assert sorted(name for name, text in texts.items() if word in text) == ["_files.py"], word
+    assert [name for name, text in texts.items() if "csv.writer" in text] == []
 
 
 def test_no_module_reads_another_modules_private_name():

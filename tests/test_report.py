@@ -111,7 +111,7 @@ def test_write_atomic_and_digest(tmp_path):
 
 def test_write_rows_atomic_quotes_embedded_commas(tmp_path):
     path = tmp_path / "rows.csv"
-    write_rows_atomic(path, [["a", "b"], ["1,5", "x"]])
+    write_rows_atomic(path, ["a", "b"], [["1,5"], ["x"]])
     text = path.read_text()
     assert '"1,5"' in text
     import csv as csv_mod

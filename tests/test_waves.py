@@ -466,7 +466,7 @@ def test_plot_data_rows_blank_before_first_window():
     smoothed = moving_average(s, 3)
     poly = fit_polynomial(smoothed, 1)
     buf = io.StringIO(newline="")
-    write_rows(buf, plot_data_rows(s, smoothed, poly))
+    write_rows(buf, *plot_data_rows(s, smoothed, poly))
     lines = buf.getvalue().split("\n")
     assert lines[:3] == ["period,raw,smoothed,poly_fit", "1,1.0,,", "2,2.0,,"]
     assert lines[3].startswith("3,3.0,2.0,")
