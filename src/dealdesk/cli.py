@@ -1,9 +1,9 @@
 """Batch command-line surface.
 
 Exit codes: 0 success, 1 module error (machine-readable diagnostic on
-stderr), 2 invalid configuration before any computation. Reports go to
---output atomically, or to stdout when no output path is given; the same
-inputs and seed always produce byte-identical JSON.
+stderr), 2 invalid configuration, or a destination that cannot be written.
+Reports go to --output atomically, or to stdout when no output path is
+given; the same inputs and seed always produce byte-identical JSON.
 
 Each command body imports the modules it runs, so a call loads only what
 its subcommand needs: ``value`` and ``--help`` never load numpy.
@@ -67,7 +67,7 @@ def _is_destination(path: str) -> bool:
 
 # Destinations are checked while parsing, so a bad one fails before any computation.
 _DESTINATION = _checked(str, _is_destination, "a file in an existing directory")
-# Flags that name an input file; their digests go into each report's provenance.
+# Flags that name an input file; their digests go into each JSON report's provenance.
 _INPUT_FLAGS = ("comps", "target", "ranges", "returns", "data", "deals")
 
 
@@ -139,14 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command bodies: each returns (payload, text)
+# Command bodies: each returns (payload, lines); main adds the provenance,
+# renders and writes
 # ---------------------------------------------------------------------------
 
-def _inputs(args: argparse.Namespace) -> dict[str, str]:
-    return {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
-
-
-def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_value(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from . import comps
     comparables = comps.load_comparables(args.comps)
     target = comps.load_target(args.target)
@@ -173,16 +170,16 @@ def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
 
     payload = report.valuation_payload(summary, target.name)
     payload["benchmarks"] = benchmarks
-    payload["provenance"] = report.provenance(_inputs(args))
 
     def fmt_stat(metric: str, value: float) -> str:
         if comps.is_ratio_metric(metric):
             return f"{report.round_multiple(value):.1f}x"
         return f"{value:,.1f}"
 
-    text_lines = [report.valuation_text(summary, target.name)]
+    # LF only: splitlines() would also cut at a \x85 or \u2028 in a name
+    lines = report.valuation_text(summary, target.name).split("\n")[:-1]
     for kind, metrics in benchmarks.items():
-        text_lines.append(f"Benchmarks ({kind})")
+        lines += ["", f"Benchmarks ({kind})"]
         for metric, stats in metrics.items():
             cells = [
                 f"{label} {fmt_stat(metric, value)}"
@@ -193,12 +190,11 @@ def _run_value(args: argparse.Namespace) -> tuple[dict, str]:
                 )
                 if value is not None
             ]
-            text_lines.append(f"  {metric:<28} " + "  ".join(cells))
-        text_lines.append("")
-    return payload, "\n".join(text_lines)
+            lines.append(f"  {metric:<28} " + "  ".join(cells))
+    return payload, lines
 
 
-def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_event_study(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from . import economics
     series = economics.load_return_series(args.returns)
     est = args.estimation_periods
@@ -227,7 +223,6 @@ def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
         "abnormal_returns": [
             {"date": d.isoformat(), "value": v} for d, v in zip(event.dates, ars)
         ],
-        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         "Market model fit",
@@ -238,10 +233,10 @@ def _run_event_study(args: argparse.Namespace) -> tuple[dict, str]:
         "Abnormal returns",
     ]
     lines += [f"  {d.isoformat()}  {v:+.6f}" for d, v in zip(event.dates, ars)]
-    return payload, "\n".join(lines) + "\n"
+    return payload, lines
 
 
-def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_regress(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from . import regression
     spec = regression.load_regression_spec(args.data)
     fit = regression.fit_takeover_regression(spec)
@@ -253,7 +248,6 @@ def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
             {"name": n, "estimate": c, "standard_error": s}
             for n, c, s in zip(fit.names, fit.coefficients, fit.standard_errors)
         ],
-        "provenance": report.provenance(_inputs(args)),
     }
     width = max(len(n) for n in fit.names)
     lines = [f"Takeover-frequency regression  (n={fit.n_rows}, R^2={fit.r_squared:.4f})", ""]
@@ -261,7 +255,7 @@ def _run_regress(args: argparse.Namespace) -> tuple[dict, str]:
         f"  {n:<{width}}  {c:+.6f}  (se {s:.6f})"
         for n, c, s in zip(fit.names, fit.coefficients, fit.standard_errors)
     ]
-    return payload, "\n".join(lines) + "\n"
+    return payload, lines
 
 
 def _analysis(
@@ -332,14 +326,13 @@ def _deal_series(args: argparse.Namespace) -> tuple[dict, waves.CountSeries]:
     return block, measured
 
 
-def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_waves(args: argparse.Namespace) -> tuple[dict, list[str]]:
     deals, measured = _deal_series(args)
     blocks, diagnostic_lines, _ = _analysis(measured, args)
     payload = {
         "kind": "waves",
         **deals,
         **blocks,
-        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         f"Wave diagnostics over {deals['records']} deals "
@@ -348,10 +341,10 @@ def _run_waves(args: argparse.Namespace) -> tuple[dict, str]:
     if deals["malformed"]:
         lines.append(f"  malformed rows    {len(deals['malformed'])}")
     lines += diagnostic_lines
-    return payload, "\n".join(lines) + "\n"
+    return payload, lines
 
 
-def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from . import waves
     defaults = _TREND_DEFAULT_PARAMS[args.trend]
     params = defaults if args.params is None else args.params
@@ -383,23 +376,21 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, str]:
         "seed": args.seed,
         "length": args.length,
         **blocks,
-        "provenance": report.provenance(_inputs(args), seed=args.seed),
     }
     lines = [
         f"Simulated {args.trend} series, length {args.length}, sigma {args.sigma}, seed {args.seed}",
     ]
     lines += diagnostic_lines
-    return payload, "\n".join(lines) + "\n"
+    return payload, lines
 
 
-def _run_ingest(args: argparse.Namespace) -> tuple[dict, str]:
+def _run_ingest(args: argparse.Namespace) -> tuple[dict, list[str]]:
     from . import waves
     deals, measured = _deal_series(args)
     waves.save_count_series(measured, args.series_out)
     payload = {
         "kind": "ingest",
         **deals,
-        "provenance": report.provenance(_inputs(args)),
     }
     lines = [
         f"Ingested {deals['records']} deals into {deals['buckets']} {deals['bucketing']} buckets",
@@ -407,7 +398,7 @@ def _run_ingest(args: argparse.Namespace) -> tuple[dict, str]:
         f"  value exclusions {deals['value_exclusions']}",
         f"  series written   {args.series_out}",
     ]
-    return payload, "\n".join(lines) + "\n"
+    return payload, lines
 
 
 _COMMANDS = {
@@ -433,18 +424,23 @@ def main(argv=None) -> int:
     prints and raises ``SystemExit(0)``, as argparse does."""
     try:
         args = build_parser().parse_args(argv)
-        payload, text = _COMMANDS[args.command](args)
-        rendered = report.canonical_json(payload) if args.format == "json" else text
+        payload, lines = _COMMANDS[args.command](args)
+        if args.format == "json":
+            inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
+            payload["provenance"] = report.provenance(inputs, seed=getattr(args, "seed", None))
+            rendered = report.canonical_json(payload)
+        else:
+            rendered = "\n".join(lines) + "\n"
+        if args.output:
+            report.write_atomic(args.output, rendered)
+        else:
+            sys.stdout.write(rendered)
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return 2
     except (DealdeskError, ValueError) as exc:
         _emit_error(exc)
         return 1
-    if args.output:
-        report.write_atomic(args.output, rendered)
-    else:
-        sys.stdout.write(rendered)
     return 0
 
 

@@ -224,7 +224,7 @@ def serialize_deals(records: Sequence[DealRecord], dest) -> None:
         return [
             f"{_MONTH_ABBREV[month]} {year}",
             r.target,
-            "n/a" if r.stake_pct is None else r.stake_pct * 100.0,
+            "n/a" if r.stake_pct is None else r.stake_pct,  # a fraction reads back as itself
             r.target_country,
             r.bidder,
             r.bidder_country,

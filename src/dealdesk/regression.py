@@ -62,6 +62,7 @@ class TakeoverRegressionSpec:
             )
         if not np.isin(self.regime, (0.0, 1.0)).all():
             raise ValueError("regime dummies must be 0/1")
+        self.names = dict(self.names)  # defaults are added to a copy, not the caller's dict
         for block in _BLOCK_LIMITS:
             given = self.names.get(block)
             width = getattr(self, block).shape[1]

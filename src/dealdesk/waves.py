@@ -25,9 +25,10 @@ _MAX_POLY_DEGREE = 12
 class CountSeries:
     """Ordered period labels with one value per period.
 
-    ``values`` is a read-only float64 copy of the 1-D sequence of finite
-    numbers given, so no step converts it again; equal labels and values
-    make equal series, whatever form the values came in.
+    ``timestamps`` is kept as a tuple, and ``values`` as a read-only
+    float64 copy of the 1-D sequence of finite numbers given, so no step
+    converts it again; equal labels and values make equal series,
+    whatever form either came in.
     """
 
     timestamps: tuple[str, ...]
@@ -42,6 +43,7 @@ class CountSeries:
         if len(self.timestamps) != len(values):
             raise ValueError("timestamps and values must align")
         values.flags.writeable = False
+        object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "values", values)
 
     def __eq__(self, other):

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, diagnostics, determinism,
 schema conformance of every report kind."""
+import errno
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dealdesk import waves
+from dealdesk import report, waves
 from dealdesk.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -148,6 +149,55 @@ def test_unusable_path_exits_2_with_one_diagnostic(args, tmp_path, capsys):
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("how", ["directory-removed", "rename-fails"])
+def test_report_write_failing_after_the_computation_exits_2(how, fmt, tmp_path, monkeypatch, capsys):
+    from dealdesk import comps
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    run_valuation = comps.run_valuation
+
+    def computed_then_broken(*args, **kwargs):  # --output was checked while parsing
+        summary = run_valuation(*args, **kwargs)
+        if how == "directory-removed":
+            out_dir.rmdir()
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        return summary
+
+    monkeypatch.setattr(comps, "run_valuation", computed_then_broken)
+    code, out, err = run_main(VALUE_ARGS + ["--format", fmt, "--output", str(out_dir / "report.json")], capsys)
+    assert code == 2 and out == ""
+    diagnostic = one_diagnostic(err)
+    assert diagnostic["error"] == "ConfigInvalid"
+    assert "report.json" in diagnostic["message"]
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if how == "directory-removed" else ["out"])
+
+
+@pytest.mark.parametrize("args,inputs", [
+    (VALUE_ARGS, 3),
+    (["event-study", "--returns", "{tmp}/returns.csv"], 1),
+    (["regress", "--data", "{tmp}/regress.csv"], 1),
+    (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--window", "3", "--max-lag", "4",
+      "--degree", "2"], 1),
+    (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/series.csv"], 1),
+    (["simulate-wave", "--length", "64"], 0),
+], ids=["value", "event-study", "regress", "waves", "ingest", "simulate-wave"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_inputs_are_digested_for_json_reports_only(args, inputs, fmt, returns_csv, regress_csv, tmp_path,
+                                                  monkeypatch, capsys):
+    digested = []
+    file_digest = report.file_digest
+    monkeypatch.setattr(report, "file_digest", lambda path: digested.append(path) or file_digest(path))
+    code, _, err = run_main([a.format(tmp=tmp_path) for a in args] + ["--format", fmt], capsys)
+    assert code == 0, err
+    assert len(digested) == (inputs if fmt == "json" else 0)
 
 
 def test_bad_weights_exit_2(capsys):

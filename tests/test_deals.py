@@ -490,6 +490,21 @@ def test_fixture_round_trip_is_fixed_point():
     assert buf2.getvalue() == buf3.getvalue()
 
 
+def test_serialized_stakes_parse_back_unchanged():
+    # a stake of at most 1 reads as a fraction, so one written as a percent
+    # of 1 or less (0.5% as 0.5) would read back a hundred times larger
+    rng = random.Random(19)
+    stakes = [0.005, 0.01, 0.013, 5e-324, 1.0] + [1.0 - rng.random() for _ in range(2000)]
+    records = [DealRecord(announced=(2012, 1), target=f"T{i}", target_country="CH", bidder="B",
+                          bidder_country="DE", stake_pct=stake) for i, stake in enumerate(stakes)]
+    buf = io.StringIO()
+    serialize_deals(records, buf)
+    buf.seek(0)
+    result = parse_deals(buf)
+    assert result.malformed == ()
+    assert [r.stake_pct for r in result.records] == stakes
+
+
 # --- bucketing ------------------------------------------------------------------
 
 def deal(year, month, value=None, target="T", country="CH"):

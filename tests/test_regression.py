@@ -89,6 +89,23 @@ def test_custom_names_flow_through():
                      "rd_intensity_x_post_reform")
 
 
+def test_default_names_go_into_a_copy_of_the_given_dict():
+    rng = np.random.default_rng(2)
+    n = 30
+    given = {"institutional": ("union_density",)}
+    spec = TakeoverRegressionSpec(
+        response=rng.normal(size=n),
+        institutional=rng.normal(size=(n, 1)),
+        sectoral=rng.normal(size=(n, 1)),
+        technological=rng.normal(size=(n, 1)),
+        regime=rng.integers(0, 2, (n, 1)).astype(float),
+        names=given,
+    )
+    assert given == {"institutional": ("union_density",)}
+    assert spec.names is not given
+    assert spec.names["sectoral"] == ("sectoral_1",)
+
+
 def test_exact_recovery_without_noise():
     rng = np.random.default_rng(3)
     spec, beta, _, _ = make_spec(rng, sigma=0.0)

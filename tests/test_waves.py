@@ -139,6 +139,14 @@ def test_series_from_tuples_equals_series_from_an_array():
     assert from_tuples != CountSeries(("a", "b"), (1.0, 2.5))
 
 
+def test_series_keeps_its_labels_as_a_tuple_of_its_own():
+    labels = ["a", "b"]
+    s = CountSeries(labels, (1.0, 2.0))
+    labels.append("c")
+    assert s.timestamps == ("a", "b")
+    assert s == CountSeries(("a", "b"), (1.0, 2.0))
+
+
 @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf")), [[1.0, 2.0], [3.0, 4.0]]],
                          ids=["nan", "inf", "2-D"])
 def test_series_refuses_non_finite_or_non_1d_values(values):
