@@ -11,6 +11,7 @@ its subcommand needs: ``value`` and ``--help`` never load numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -419,6 +420,23 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(report.canonical_json(diagnostic))
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text`` to stdout, so a closed pipe or a full disk
+    fails here, as ``ConfigInvalidError``, and not as the interpreter exits."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the unwritten text would fail again when the interpreter flushes
+        # stdout at exit, so it goes to the null device instead
+        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise ConfigInvalidError(f"cannot write stdout: {exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     """Run one command line; returns the process exit code. ``--help``
     prints and raises ``SystemExit(0)``, as argparse does."""
@@ -434,7 +452,7 @@ def main(argv=None) -> int:
         if args.output:
             report.write_atomic(args.output, rendered)
         else:
-            sys.stdout.write(rendered)
+            _write_stdout(rendered)
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return 2

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from ._files import open_text, write_rows
+from .errors import ConfigInvalidError
 
 if TYPE_CHECKING:  # every command imports report; only value needs comps
     from .comps import ValuationSummary
@@ -118,10 +120,15 @@ def valuation_payload(summary: ValuationSummary, target_name: str = "Target") ->
 
 
 def file_digest(path) -> str:
+    """SHA-256 of the file at ``path``; one that cannot be read, such as an
+    input removed since it was parsed, raises ``ConfigInvalidError``."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(65536), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot open {os.fsdecode(path)}: {exc.strerror}") from exc
     return h.hexdigest()
 
 

@@ -9,8 +9,9 @@ look quasi-periodic with no cycle in the raw data.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -21,17 +22,57 @@ from .errors import IllConditionedError, TooShortError, WindowTooLargeError, Zer
 _MAX_POLY_DEGREE = 12
 
 
+class _PeriodLabels(Sequence):
+    """The labels ``str(t)`` of the periods t in a ``range``, each made only
+    when it is read: a generated series' periods 1..n without n strings.
+
+    It stands in for the tuple of those labels. It compares equal to that
+    tuple either way round and hashes as it does; a slice is another
+    ``_PeriodLabels``, made in constant time.
+    """
+
+    __slots__ = ("_periods",)
+
+    def __init__(self, periods: range):
+        self._periods = periods
+
+    def __len__(self) -> int:
+        return len(self._periods)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _PeriodLabels(self._periods[index])
+        return str(self._periods[index])
+
+    def __iter__(self):
+        return map(str, self._periods)
+
+    def __eq__(self, other):
+        if isinstance(other, _PeriodLabels):
+            return self._periods == other._periods
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_PeriodLabels({self._periods!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class CountSeries:
     """Ordered period labels with one value per period.
 
-    ``timestamps`` is kept as a tuple, and ``values`` as a read-only
-    float64 copy of the 1-D sequence of finite numbers given, so no step
-    converts it again; equal labels and values make equal series,
-    whatever form either came in.
+    ``timestamps`` is kept as a tuple, or as the ``_PeriodLabels`` of a
+    generated series, which compare equal to the tuple of the same
+    labels; ``values`` is kept as a read-only float64 copy of the 1-D
+    sequence of finite numbers given, so no step converts it again. Equal
+    labels and values make equal series, whatever form either came in.
     """
 
-    timestamps: tuple[str, ...]
+    timestamps: Sequence[str]
     values: np.ndarray
 
     def __post_init__(self):
@@ -43,7 +84,8 @@ class CountSeries:
         if len(self.timestamps) != len(values):
             raise ValueError("timestamps and values must align")
         values.flags.writeable = False
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        if not isinstance(self.timestamps, _PeriodLabels):
+            object.__setattr__(self, "timestamps", tuple(self.timestamps))
         object.__setattr__(self, "values", values)
 
     def __eq__(self, other):
@@ -123,7 +165,7 @@ def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) 
         values = trend + (rng.normal(0.0, model.noise_sigma, length) if model.noise_sigma > 0 else 0.0)
     if clamp_at_zero:
         values = np.maximum(values, 0.0)
-    return CountSeries(timestamps=tuple(map(str, range(1, length + 1))), values=values)
+    return CountSeries(timestamps=_PeriodLabels(range(1, length + 1)), values=values)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:

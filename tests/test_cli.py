@@ -180,6 +180,28 @@ def test_report_write_failing_after_the_computation_exits_2(how, fmt, tmp_path, 
     assert [p.name for p in tmp_path.rglob("*")] == ([] if how == "directory-removed" else ["out"])
 
 
+def test_input_gone_before_its_digest_exits_2(tmp_path, monkeypatch, capsys):
+    from dealdesk import comps
+
+    paths = {name: tmp_path / name for name in ("comps.csv", "target.csv", "ranges.ini")}
+    for name, path in paths.items():
+        path.write_bytes((DATA / name).read_bytes())
+    run_valuation = comps.run_valuation
+
+    def computed_then_deleted(*args, **kwargs):  # the inputs were read while computing
+        summary = run_valuation(*args, **kwargs)
+        paths["comps.csv"].unlink()
+        return summary
+
+    monkeypatch.setattr(comps, "run_valuation", computed_then_deleted)
+    code, out, err = run_main(["value", "--comps", str(paths["comps.csv"]), "--target", str(paths["target.csv"]),
+                               "--ranges", str(paths["ranges.ini"]), "--format", "json"], capsys)
+    assert code == 2 and out == ""
+    diagnostic = one_diagnostic(err)
+    assert diagnostic["error"] == "ConfigInvalid"
+    assert diagnostic["message"] == f"cannot open {paths['comps.csv']}: No such file or directory"
+
+
 @pytest.mark.parametrize("args,inputs", [
     (VALUE_ARGS, 3),
     (["event-study", "--returns", "{tmp}/returns.csv"], 1),
@@ -655,3 +677,18 @@ def test_module_invocation_runs():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["kind"] == "valuation"
+
+
+def test_closed_stdout_exits_2_with_one_diagnostic():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "dealdesk.cli", "simulate-wave", "--length", "2000"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    diagnostic = one_diagnostic(result.stderr)
+    assert diagnostic == {"error": "ConfigInvalid", "message": "cannot write stdout: Broken pipe"}

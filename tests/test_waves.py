@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,46 @@ def test_series_keeps_its_labels_as_a_tuple_of_its_own():
     labels.append("c")
     assert s.timestamps == ("a", "b")
     assert s == CountSeries(("a", "b"), (1.0, 2.0))
+
+
+def test_generated_labels_stand_in_for_their_tuple():
+    labels = generate_series(TrendModel(kind="ideal", parameters=(1.0,)), 6).timestamps
+    want = ("1", "2", "3", "4", "5", "6")
+    assert labels == want and want == labels
+    assert not labels != want and not want != labels
+    assert labels != list(want) and list(want) != labels
+    assert labels != ("1", "2", "3", "4", "5", "7") and labels != want[:5] and labels != tuple(range(1, 7))
+    assert hash(labels) == hash(want)
+    assert len(labels) == 6 and list(labels) == list(want) and "6" in labels
+    assert labels[0] == "1" and labels[-1] == "6" and labels[-6] == "1"
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            labels[index]
+    for part in (slice(2, None), slice(None, None, 2), slice(-2, 0, -2), slice(4, 1)):
+        assert labels[part] == want[part] and type(labels[part]) is type(labels)
+    assert repr(labels) == "_PeriodLabels(range(1, 7))"
+    assert CountSeries(labels, np.ones(6)).timestamps is labels
+
+
+def test_generated_series_equals_its_tuple_form_before_and_after_smoothing():
+    s = generate_series(TrendModel(kind="linear", parameters=(0.5, 2.0), noise_sigma=1.0, seed=5), 40)
+    as_tuples = CountSeries(tuple(str(t) for t in range(1, 41)), s.values)
+    assert s == as_tuples and as_tuples == s
+    smoothed, smoothed_tuples = moving_average(s, 7), moving_average(as_tuples, 7)
+    assert smoothed == smoothed_tuples and smoothed_tuples == smoothed
+    assert smoothed.timestamps == tuple(str(t) for t in range(7, 41))
+
+
+def test_generated_series_retains_little_more_than_its_values():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = generate_series(TrendModel(kind="linear", parameters=(1.0, 0.0), noise_sigma=1.0), 10**6)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert s.values.nbytes == 8 * 10**6
+    assert retained < 16 * 2**20, retained
 
 
 @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf")), [[1.0, 2.0], [3.0, 4.0]]],
@@ -463,7 +504,7 @@ def test_save_load_round_trip_preserves_floats():
     save_count_series(s, buf)
     buf.seek(0)
     back = load_count_series(buf)
-    assert back == s
+    assert back == s and s == back and type(back.timestamps) is tuple
 
 
 def test_plot_data_rows_blank_before_first_window():
