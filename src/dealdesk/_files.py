@@ -1,7 +1,8 @@
 """The one way every loader and writer opens its source or destination,
-the one way CSV rows are read and written, the one way a CSV loader
-checks its header and names a bad row, and the one way a cell is read as
-text, as a date or an integer, and a cell or a flag as a number."""
+the one CSV row loop every loader reads through (``csv_rows``, which
+checks the header and numbers the rows), the one CSV writer, the one way
+a loader names a bad row, and the one way a cell is read as text, as a
+date or an integer, and a cell or a flag as a number."""
 from __future__ import annotations
 
 import contextlib
@@ -141,19 +142,18 @@ def _quoted(text: str) -> str:
     return text
 
 
-def parse_number(text: Optional[str], name: str = "", thousands: bool = False) -> float:
+def parse_number(text: Optional[str], name: str = "") -> float:
     """``float(text)`` for a finite number, else ``ValueError``.
 
-    ``None``, the cell of a CSV row cut short, is refused as missing.
-    With ``thousands``, commas and outer blanks are dropped first, as
-    deal-list exports write "11,850.0". The message starts with ``name``
-    when one is given, so a diagnostic says which column or flag it read.
+    ``None``, the cell of a CSV row cut short, is refused as missing. The
+    message starts with ``name`` when one is given, so a diagnostic says
+    which column or flag it read.
     """
     if text is None:
         reason = "missing"
     else:
         try:
-            number = float(text.replace(",", "").strip() if thousands else text)
+            number = float(text)
         except ValueError as exc:
             reason = str(exc)
         else:
@@ -191,21 +191,41 @@ def require_columns(header, required, what: str) -> None:
         raise HeaderMismatchError(f"{what} lacks required columns: {', '.join(missing)}", missing=missing)
 
 
-def read_rows(source, parse, required=(), what: str = "CSV") -> list:
-    """``[parse(row) for row in csv.DictReader(source)]``, ``source`` opened
-    by ``open_text``: the one way a loader reads CSV rows, each a dict keyed
-    by the header. ``require_columns`` first checks the header for the
-    ``required`` columns, naming the file as ``what``. Any ``ValueError``
-    from ``parse`` is prefixed by "row N: ". Rows are numbered as
-    ``deals.parse_deals`` numbers them: the header is row 1 and the blank
-    lines csv skips are not counted."""
+@contextlib.contextmanager
+def csv_rows(source, required, what: str):
+    """Yield ``(header, rows)`` for the CSV ``source``, opened by
+    ``open_text``: the one CSV row loop. ``header`` is the first row, which
+    ``require_columns`` checks for the ``required`` columns, naming the file
+    as ``what``; ``rows`` yields ``(number, cells)`` for each later row, the
+    header being row 1 and blank lines skipped and not numbered."""
     with open_text(source) as stream:
-        reader = csv.DictReader(stream)
-        require_columns(reader.fieldnames, required, what)
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        require_columns(header, required, what)
+        yield header, enumerate(filter(None, reader), start=2)
+
+
+def row_dict(header, cells) -> dict:
+    """``cells`` keyed by ``header``, as the csv module's ``DictReader`` keys a row:
+    cells past the header listed under ``None``, missing ones ``None``, and
+    a repeated column name holding its last cell."""
+    row = dict(zip(header, cells))
+    if len(cells) > len(header):
+        row[None] = cells[len(header):]
+    for name in header[len(cells):]:
+        row[name] = None
+    return row
+
+
+def read_rows(source, parse, required, what: str) -> list:
+    """``[parse(row_dict(header, cells)) for ...]`` over ``csv_rows``: the
+    way a loader reads CSV rows by column name. Any ``ValueError`` from
+    ``parse`` is prefixed by "row N: "."""
+    with csv_rows(source, required, what) as (header, rows):
         out = []
-        for number, row in enumerate(reader, start=2):
+        for number, cells in rows:
             try:
-                out.append(parse(row))
+                out.append(parse(row_dict(header, cells)))
             except ValueError as exc:
                 raise ValueError(f"row {number}: {exc}") from exc
         return out

@@ -177,8 +177,7 @@ def _run_value(args: argparse.Namespace) -> tuple[dict, list[str]]:
             return f"{report.round_multiple(value):.1f}x"
         return f"{value:,.1f}"
 
-    # LF only: splitlines() would also cut at a \x85 or \u2028 in a name
-    lines = report.valuation_text(summary, target.name).split("\n")[:-1]
+    lines = [report.valuation_text(summary, target.name)[:-1]]
     for kind, metrics in benchmarks.items():
         lines += ["", f"Benchmarks ({kind})"]
         for metric, stats in metrics.items():

@@ -313,7 +313,7 @@ def _comparable(row: dict) -> Comparable:
 def load_target(source) -> TargetProfile:
     """Read the single-row target CSV: name, net_debt, shares_outstanding,
     metrics. The rows are counted before any cell is parsed."""
-    rows = read_rows(source, dict)
+    rows = read_rows(source, dict, ("net_debt", "shares_outstanding"), "target CSV")
     if len(rows) != 1:
         raise ConfigInvalidError(f"target file must contain exactly one row, found {len(rows)}")
     try:
@@ -323,9 +323,6 @@ def load_target(source) -> TargetProfile:
 
 
 def _target(row: dict) -> TargetProfile:
-    missing = [c for c in ("net_debt", "shares_outstanding") if not (row.get(c) or "").strip()]
-    if missing:
-        raise ConfigInvalidError(f"target file missing required columns: {', '.join(missing)}")
     metrics = {
         k.strip(): parse_number(v, k.strip())
         for k, v in row.items()

@@ -6,7 +6,6 @@ records up into count and total-value series for the wave diagnostics.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -14,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
-from ._files import open_text, parse_number, require_columns, write_rows
+from ._files import csv_rows, parse_number, row_dict, write_rows
 from .errors import EmptyAfterFilterError
 from .waves import CountSeries
 
@@ -123,8 +122,10 @@ def _parse_month_year(text: str) -> tuple[int, int]:
     return year, month
 
 
-# table exports keep thousands separators ("11,850.0")
-_parse_number = functools.partial(parse_number, thousands=True)
+def _parse_number(text: str) -> float:
+    """A number cell of a deal list, whose exports keep thousands separators
+    ("11,850.0"); a diagnostic echoes the cell without them, trimmed again."""
+    return parse_number(text.replace(",", "").strip())
 
 
 def parse_deals(source) -> ParseResult:
@@ -137,15 +138,12 @@ def parse_deals(source) -> ParseResult:
     rows (equal after stripping each cell) stay in the output but raise a
     warning, since merging them silently could hide source errors.
 
-    Rows are read by position, for speed, but as ``_files.read_rows``
-    reads them by name: blank lines are skipped and not numbered, missing
-    trailing cells are absent, cells past the header are ignored, and a
-    repeated column name reads its last cell.
+    Rows come from ``_files.csv_rows``, as for every loader, and are read
+    by position, for speed, but as ``_files.read_rows`` reads them by name:
+    missing trailing cells are absent, cells past the header are ignored,
+    and a repeated column name reads its last cell.
     """
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        require_columns(header, REQUIRED_COLUMNS, "deal CSV")
+    with csv_rows(source, REQUIRED_COLUMNS, "deal CSV") as (header, numbered):
         width = len(header)
         column = {name: i for i, name in enumerate(header)}
         fields = operator.itemgetter(*(column[name] for name in REQUIRED_COLUMNS))
@@ -157,18 +155,14 @@ def parse_deals(source) -> ParseResult:
         malformed: list[MalformedRow] = []
         warnings: list[str] = []
         seen: set[tuple] = set()
-        number = 1
-        for row in reader:
-            if not row:
-                continue
-            number += 1
+        for number, row in numbered:
             cells = list(map(str.strip, row))
             if len(cells) < width:
                 cells += [""] * (width - len(cells))
             try:
                 parsed = _parse_row(fields(cells), months)
             except ValueError as exc:
-                malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=_raw(header, row)))
+                malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=row_dict(header, row)))
                 continue
             row_key = key(cells)
             if row_key in seen:
@@ -176,17 +170,6 @@ def parse_deals(source) -> ParseResult:
             seen.add(row_key)
             rows.append(parsed)
         return ParseResult(rows=tuple(rows), malformed=tuple(malformed), warnings=tuple(warnings))
-
-
-def _raw(header: list[str], row: list[str]) -> dict:
-    """``row`` as ``_files.read_rows`` gives it: extra cells listed under
-    ``None``, missing ones ``None``."""
-    raw = dict(zip(header, row))
-    if len(row) > len(header):
-        raw[None] = row[len(header):]
-    for name in header[len(row):]:
-        raw[name] = None
-    return raw
 
 
 def _parse_row(fields: tuple[str, ...], months: dict) -> tuple:

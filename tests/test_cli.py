@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import pathlib
+import shutil
 import stat
 import subprocess
 import sys
@@ -692,3 +693,36 @@ def test_closed_stdout_exits_2_with_one_diagnostic():
     assert result.returncode == 2, result.stderr
     diagnostic = one_diagnostic(result.stderr)
     assert diagnostic == {"error": "ConfigInvalid", "message": "cannot write stdout: Broken pipe"}
+
+
+# --- determinism across processes ---------------------------------------------------
+
+DEALS_ARGS = ["--deals", str(DATA / "swiss_deals_2012.csv"), "--measure", "value"]
+
+
+@pytest.mark.parametrize("args", [
+    VALUE_ARGS + ["--output", "{out}/report.json"],
+    ["event-study", "--returns", "{tmp}/returns.csv"],
+    ["regress", "--data", "{tmp}/regress.csv"],
+    ["waves", *DEALS_ARGS, "--window", "3", "--max-lag", "4", "--degree", "2", "--target-country", "Switzerland"],
+    ["ingest", *DEALS_ARGS, "--series-out", "{out}/series.csv"],
+    ["simulate-wave", "--length", "300", "--series-out", "{out}/series.csv", "--plot-out", "{out}/plot.csv"],
+], ids=["value", "event-study", "regress", "waves", "ingest", "simulate-wave"])
+def test_reruns_in_fresh_interpreters_give_the_same_bytes_under_any_hash_seed(args, returns_csv, regress_csv,
+                                                                               tmp_path):
+    # str hashes, and so set and dict-of-set orders, change with the seed
+    out = tmp_path / "out"
+    args = [a.format(tmp=tmp_path, out=out) for a in args]
+    runs = []
+    for seed in ("1", "2"):
+        out.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-m", "dealdesk.cli", *args], capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        runs.append((result.returncode, result.stdout, result.stderr,
+                     {path.name: path.read_bytes() for path in out.iterdir()}))
+        shutil.rmtree(out)
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0][3] or runs[0][1]
+    assert runs[0] == runs[1]

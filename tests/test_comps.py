@@ -7,6 +7,7 @@ from dealdesk import (
     CompSet,
     Comparable,
     ConfigInvalidError,
+    HeaderMismatchError,
     MetricAbsentError,
     MultipleRange,
     NonPositiveMetricError,
@@ -289,8 +290,10 @@ def test_load_target_requires_single_row_and_bridge_columns():
         load_target(io.StringIO("name,net_debt,shares_outstanding\n"))
     with pytest.raises(ConfigInvalidError):
         load_target(io.StringIO("name,net_debt,shares_outstanding\na,1,2\nb,1,2\n"))
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(HeaderMismatchError, match="^target CSV lacks required columns: shares_outstanding$"):
         load_target(io.StringIO("name,net_debt,ltm_ebitda\nt,250,88\n"))
+    with pytest.raises(ValueError, match="^row 2: net_debt: could not convert string to float: ''$"):
+        load_target(io.StringIO("name,net_debt,shares_outstanding\nt,,55.7\n"))
 
 
 def test_load_target_names_the_row_of_a_bad_cell():

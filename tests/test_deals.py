@@ -184,6 +184,17 @@ def test_non_finite_cell_is_malformed(column, text):
     assert "finite" in bad.reason and bad.raw[column] == text
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("1,e999", "expected a finite number, got '1e999'"),
+    ("about,12", "could not convert string to float: 'about12'"),
+    ("about ,", "could not convert string to float: 'about'"),
+])
+def test_a_value_cell_is_named_without_its_thousands_separators(text, reason):
+    result = parse_text(HEADER + f'Apr 2012,T,50,CH,B,DE,n/a,n/a,"{text}"\n')
+    (bad,) = result.malformed
+    assert bad.reason == reason and bad.raw["value_usdm"] == text
+
+
 # --- the positional reader against csv.DictReader ------------------------------
 
 _REFERENCE_ABSENT = {"", "-", "n/a", "na"}

@@ -269,11 +269,13 @@ def test_path_is_opened_as_utf8_and_closed(tmp_path):
 
 
 def test_only_the_helper_module_tells_paths_from_streams():
-    # and the only one that writes CSV rows, which it does without csv.writer
+    # and the only one that reads and writes CSV rows: one csv.reader loop,
+    # no csv.DictReader, and rows written without csv.writer
     texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    for word in ("__fspath__", "def write_rows(", "csv.DictReader"):
+    for word in ("__fspath__", "def write_rows(", "csv.reader("):
         assert sorted(name for name, text in texts.items() if word in text) == ["_files.py"], word
-    assert [name for name, text in texts.items() if "csv.writer" in text] == []
+    for word in ("csv.DictReader", "csv.writer"):
+        assert [name for name, text in texts.items() if word in text] == [], word
 
 
 def test_no_module_reads_another_modules_private_name():
@@ -339,6 +341,7 @@ def test_a_cell_csv_refuses_raises_value_error_from_a_stream_as_from_a_path(name
 # Loaders that index rows by column name: a CSV lacking some of the columns
 # each needs, and the columns it lacks. parse_deals has its own test.
 HEADERS = {
+    "load_target": (load_target, "name,net_debt,ltm_ebitda\nt,250,88\n", ("shares_outstanding",)),
     "load_comparables": (load_comparables, "kind,ev_to_ebitda\ntrading,9\n", ("name",)),
     "load_return_series": (load_return_series, "date,firm_return\n2005-01-03,0.01\n",
                            ("market_return",)),
@@ -366,6 +369,10 @@ BAD_ROWS = {
     "load_return_series": (load_return_series,
                            "date,firm_return,market_return\n2005-01-03,0.01,0.02\n\n2005-01-04,0.01\n",
                            "market_return: missing"),
+    "load_return_series-thousands": (load_return_series,
+                                     "date,firm_return,market_return\n2005-01-03,0.01,0.02\n\n"
+                                     '2005-01-04,"1,5",0.02\n',
+                                     "firm_return: could not convert string to float: '1,5'"),
     "load_count_series": (load_count_series, "period,value\n2012-01,1\n\n2012-02,inf\n",
                           "value: expected a finite"),
     "load_snapshots": (load_snapshots, "as_of_date,revenue\n2005-12-31,400\n\n2006-12-31,1e999\n",
