@@ -13,7 +13,7 @@ _EXPORTS = {
         "comps": "AggregateStats CompSet Comparable MethodRow MultipleRange TargetProfile "
                  "ValuationSummary aggregate apply_range build_summary load_comparables load_ranges "
                  "load_target run_valuation summarize_method",
-        "deals": "DealRecord DealSeries ParseResult aggregate_deals parse_deals serialize_deals",
+        "deals": "DealRecord DealSeries ParseResult aggregate_deals parse_deals serialize_deals stream_deals",
         "economics": "CashFlowGrid MarketModelFit MergerAssessment ReturnSeries abnormal_returns "
                      "combined_firm_value fit_market_model load_return_series merger_success",
         "errors": "ConfigInvalidError DealdeskError DegenerateRateError DegenerateRegressorError "

@@ -1,8 +1,9 @@
 """The one way every loader and writer opens its source or destination,
 the one CSV row loop every loader reads through (``csv_rows``, which
 checks the header and numbers the rows), the one CSV writer, the one way
-a loader names a bad row, and the one way a cell is read as text, as a
-date or an integer, and a cell or a flag as a number."""
+a loader names a bad row, and the one way a cell is read as text or as a
+date, and a cell or a flag as a number (``parse_number`` and
+``parse_integer``, which share one grammar)."""
 from __future__ import annotations
 
 import contextlib
@@ -142,8 +143,17 @@ def _quoted(text: str) -> str:
     return text
 
 
+def _is_numeral(text: str) -> bool:
+    """Whether ``text`` keeps to the one number grammar: ASCII, with no
+    underscore. ``float`` and ``int`` also read ``1_000`` and the digits of
+    any script (``١٢٣``, ``１２``); the grammar refuses them."""
+    return text.isascii() and "_" not in text
+
+
 def parse_number(text: Optional[str], name: str = "") -> float:
-    """``float(text)`` for a finite number, else ``ValueError``.
+    """``float(text)`` for a finite number in the one number grammar (see
+    ``_is_numeral``), else ``ValueError``, with float's message for text it
+    refuses.
 
     ``None``, the cell of a CSV row cut short, is refused as missing. The
     message starts with ``name`` when one is given, so a diagnostic says
@@ -151,6 +161,8 @@ def parse_number(text: Optional[str], name: str = "") -> float:
     """
     if text is None:
         reason = "missing"
+    elif not _is_numeral(text):
+        reason = f"could not convert string to float: {text!r}"
     else:
         try:
             number = float(text)
@@ -163,8 +175,16 @@ def parse_number(text: Optional[str], name: str = "") -> float:
     raise ValueError(f"{name}: {reason}" if name else reason)
 
 
+def parse_integer(text: str) -> int:
+    """``int(text)`` in the one number grammar of ``parse_number``, else
+    ``ValueError`` with int's message."""
+    if not _is_numeral(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_cell(text: str, convert, name: str):
-    """``convert(text)``, such as ``date.fromisoformat`` or ``int``, with
+    """``convert(text)``, such as ``date.fromisoformat`` or ``parse_integer``, with
     any ``ValueError`` prefixed by the column ``name``, as in ``parse_number``."""
     try:
         return convert(text)

@@ -17,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import report
-from ._files import parse_number
+from ._files import parse_integer, parse_number
 from .errors import ConfigInvalidError, DealdeskError
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ def _checked(parse, ok=lambda value: True, wants: str = ""):
 
 
 def _count(least: int):
-    return _checked(int, lambda n: n >= least, f"an integer >= {least}")
+    return _checked(parse_integer, lambda n: n >= least, f"an integer >= {least}")
 
 
 def _numbers(text: str) -> tuple[float, ...]:
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("event-study", parents=[common], help="market-model fit and abnormal returns")
     p.add_argument("--returns", required=True, help="CSV with date,firm_return,market_return")
     p.add_argument("--estimation-periods", type=_count(3), default=60, dest="estimation_periods")
-    p.add_argument("--event-index", type=int, default=None, dest="event_index",
+    p.add_argument("--event-index", type=_checked(parse_integer), default=None, dest="event_index",
                    help="row index of the event, from --estimation-periods to the last row "
                         "(default: first row after the estimation window)")
     p.add_argument("--event-window", type=_count(0), default=1, dest="event_window",
@@ -297,29 +297,38 @@ def _analysis(
 
 
 def _deal_series(args: argparse.Namespace) -> tuple[dict, waves.CountSeries]:
-    """Parse and bucket the --deals list; returns the report's deal block and the measured series.
+    """Stream and bucket the --deals list; returns the report's deal block and the measured series.
 
-    The --target-country and --bidder-country filters, where the command
-    has them, compare fields of the parsed rows, so no ``DealRecord`` is built.
+    The rows go straight from ``deals.stream_deals`` into ``aggregate_deals``,
+    whose predicate counts every clean row and keeps those that pass the
+    --target-country and --bidder-country filters, where the command has
+    them. So the call holds the kept rows, the malformed ones and one key
+    per distinct clean row, never the whole list, and builds no ``DealRecord``.
     """
     from . import deals
-    result = deals.parse_deals(args.deals)
-    kept = result.rows
-    for name in ("target_country", "bidder_country"):
-        wanted = getattr(args, name, None)  # ingest has no country flags
-        if wanted:
-            i = deals.DealRecord._fields.index(name)  # a row holds DealRecord's fields, in order
-            kept = [row for row in kept if row[i] == wanted]
-    series = deals.aggregate_deals(kept, args.bucketing)
+    malformed: list = []
+    warnings: list = []
+    # a row holds DealRecord's fields, in order; ingest has no country flags
+    wanted = [(deals.DealRecord._fields.index(name), getattr(args, name))
+              for name in ("target_country", "bidder_country") if getattr(args, name, None)]
+    records = 0
+
+    def keep(row: tuple) -> bool:
+        nonlocal records
+        records += 1
+        for i, value in wanted:
+            if row[i] != value:
+                return False
+        return True
+
+    series = deals.aggregate_deals(deals.stream_deals(args.deals, malformed, warnings), args.bucketing, keep)
     measured = series.counts if args.measure == "counts" else series.total_value
     block = {
         "bucketing": series.bucketing,
         "measure": args.measure,
-        "records": len(result.rows),
-        "malformed": [
-            {"row_number": m.row_number, "reason": m.reason} for m in result.malformed
-        ],
-        "warnings": list(result.warnings),
+        "records": records,
+        "malformed": [{"row_number": m.row_number, "reason": m.reason} for m in malformed],
+        "warnings": warnings,
         "value_exclusions": series.value_exclusions,
         "buckets": len(measured),
     }

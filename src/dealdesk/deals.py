@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from ._files import csv_rows, parse_number, row_dict, write_rows
 from .errors import EmptyAfterFilterError
@@ -129,14 +129,26 @@ def _parse_number(text: str) -> float:
 
 
 def parse_deals(source) -> ParseResult:
-    """Read a deal-list CSV.
+    """Read a deal-list CSV: ``stream_deals`` read to the end, with every
+    clean row held in ``rows``."""
+    malformed: list[MalformedRow] = []
+    warnings: list[str] = []
+    rows = tuple(stream_deals(source, malformed, warnings))
+    return ParseResult(rows=rows, malformed=tuple(malformed), warnings=tuple(warnings))
+
+
+def stream_deals(source, malformed: list, warnings: list) -> Iterator[tuple]:
+    """Yield each clean row of a deal-list CSV as it is read, as a tuple in
+    ``DealRecord`` field order, appending each ``MalformedRow`` to
+    ``malformed`` and each duplicate warning to ``warnings`` as it goes.
 
     "n/a", "-" and blank cells are absent; dates read as "Apr 2012", with
     the year in ``YEAR_RANGE``; stakes above 1 are percents and are
     divided by 100; numbers must be finite. Rows that fail to parse land
-    in the diagnostics with their row number and reason. Exact duplicate
-    rows (equal after stripping each cell) stay in the output but raise a
-    warning, since merging them silently could hide source errors.
+    in ``malformed`` with their row number and reason. Exact duplicate
+    rows (equal after stripping each cell) are yielded too but raise a
+    warning, since merging them silently could hide source errors. What
+    the generator holds between rows is one key per distinct clean row.
 
     Rows come from ``_files.csv_rows``, as for every loader, and are read
     by position, for speed, but as ``_files.read_rows`` reads them by name:
@@ -149,12 +161,11 @@ def parse_deals(source) -> ParseResult:
         fields = operator.itemgetter(*(column[name] for name in REQUIRED_COLUMNS))
         # duplicate key: one cell per non-empty column name, the last
         # one when a name repeats, as in a read_rows row
-        key = operator.itemgetter(*sorted(i for name, i in column.items() if name))
+        key_columns = sorted(i for name, i in column.items() if name)
+        key = operator.itemgetter(*key_columns)
+        separators = len(key_columns) - 1
         months: dict[str, tuple[int, int]] = {}
-        rows: list[tuple] = []
-        malformed: list[MalformedRow] = []
-        warnings: list[str] = []
-        seen: set[tuple] = set()
+        seen: set = set()
         for number, row in numbered:
             cells = list(map(str.strip, row))
             if len(cells) < width:
@@ -164,12 +175,15 @@ def parse_deals(source) -> ParseResult:
             except ValueError as exc:
                 malformed.append(MalformedRow(row_number=number, reason=str(exc), raw=row_dict(header, row)))
                 continue
-            row_key = key(cells)
+            # the cells joined on NUL are smaller than their tuple; a cell
+            # holding NUL keeps the tuple, so two rows never share a key
+            row_key = "\x00".join(key(cells))
+            if row_key.count("\x00") != separators:
+                row_key = key(cells)
             if row_key in seen:
                 warnings.append(f"row {number}: exact duplicate of an earlier row, kept")
             seen.add(row_key)
-            rows.append(parsed)
-        return ParseResult(rows=tuple(rows), malformed=tuple(malformed), warnings=tuple(warnings))
+            yield parsed
 
 
 def _parse_row(fields: tuple[str, ...], months: dict) -> tuple:
@@ -251,16 +265,19 @@ def _bucket_label(index: int, bucketing: Bucketing) -> str:
 
 
 def aggregate_deals(
-    deals: Sequence[DealRecord],
+    deals: Iterable[DealRecord],
     bucketing: Bucketing = "month",
     predicate: Optional[Callable[[DealRecord], bool]] = None,
 ) -> DealSeries:
     """Bucket deals into counts and value totals, zero-filling gaps.
 
-    ``deals`` are ``DealRecord``s or ``ParseResult.rows``, read by position,
-    and ``predicate`` sees each as given. Buckets run contiguously from the
-    earliest to the latest kept deal. Deals without a value still count;
-    they are excluded from the totals and tallied in ``value_exclusions``.
+    ``deals`` are ``DealRecord``s or rows in their field order, such as
+    ``ParseResult.rows`` or a ``stream_deals`` generator, read once, by
+    position. ``predicate`` sees each as given, and only the deals it keeps
+    are held, so a streamed list is never held whole. Buckets run
+    contiguously from the earliest to the latest kept deal. Deals without
+    a value still count; they are excluded from the totals and tallied in
+    ``value_exclusions``.
     A total that overflows the float range raises ``ValueError`` naming its bucket.
     """
     kept = list(deals) if predicate is None else [d for d in deals if predicate(d)]

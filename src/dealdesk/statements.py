@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
-from ._files import parse_cell, parse_number, read_rows, text_cell
+from ._files import parse_cell, parse_integer, parse_number, read_rows, text_cell
 from .errors import (
     MismatchedStubsError,
     MissingFiscalYearError,
@@ -431,7 +431,7 @@ def load_snapshots(source) -> list[FinancialSnapshot]:
             if key in _DATE_FIELDS:
                 kwargs[key] = parse_cell(raw, date.fromisoformat, key)
             elif key in _INT_FIELDS:
-                kwargs[key] = parse_cell(raw, int, key)
+                kwargs[key] = parse_cell(raw, parse_integer, key)
             else:
                 kwargs[key] = parse_number(raw, key)
         if "as_of_date" not in kwargs:

@@ -351,6 +351,9 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     (VALUE_ARGS[:3], "arguments are required: --target, --ranges"),
     (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--window", "abc"], "argument --window"),
     (["simulate-wave", "--length", "1"], "argument --length"),
+    (["simulate-wave", "--length", "\uff16\uff14"], "argument --length"),
+    (["simulate-wave", "--sigma", "1_0"], "argument --sigma"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--event-index", "\u0667\u0669"], "argument --event-index"),
     (["simulate-wave", "--seed", "-1"], "argument --seed"),
     (["simulate-wave", "--sigma", "nan"], "argument --sigma"),
     (["simulate-wave", "--sigma", "inf"], "argument --sigma"),
@@ -366,7 +369,8 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--sector", "XYZ"], "unrecognized arguments: --sector"),
     (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/s.csv", "--sector", "XYZ"],
      "unrecognized arguments: --sector"),
-], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "seed-negative",
+], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "length-fullwidth",
+        "sigma-underscore", "event-index-arabic-indic", "seed-negative",
         "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir",
         "event-index-negative", "event-index-in-estimation", "event-index-past-end", "waves-sector",
         "ingest-sector"])

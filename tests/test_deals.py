@@ -5,6 +5,7 @@ import json
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from dealdesk import (
     ParseResult,
     aggregate_deals,
     parse_deals,
+    save_count_series,
     serialize_deals,
 )
 from dealdesk.cli import _deal_series, build_parser, main
@@ -105,6 +107,25 @@ def test_duplicates_kept_with_warning():
     assert "duplicate" in result.warnings[0]
 
 
+# csv reads NUL from Python 3.11 on and refuses it before
+READS_NUL = pytest.mark.skipif(sys.version_info < (3, 11), reason="csv refuses NUL before Python 3.11")
+
+
+@READS_NUL
+def test_duplicate_key_tells_apart_rows_a_nul_splits_differently(tmp_path):
+    # both rows join to the same text on NUL, but their cells differ
+    left = "Apr 2012,T,50,CH,B,DE,a\x00b,c,10\n"
+    right = "Apr 2012,T,50,CH,B,DE,a,b\x00c,10\n"
+    for rows, warned in (([left, right], []), ([left, left], [3]), ([right, left, right], [4])):
+        path = tmp_path / "deals.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8")
+        want = [f"row {n}: exact duplicate of an earlier row, kept" for n in warned]
+        result = parse_deals(path)
+        assert list(result.warnings) == want and len(result.rows) == len(rows)
+        block, _ = _deal_series(build_parser().parse_args(["waves", "--deals", str(path)]))
+        assert block["warnings"] == want and block["records"] == len(rows)
+
+
 def test_header_mismatch_lists_missing_columns():
     with pytest.raises(HeaderMismatchError) as exc_info:
         parse_text("announced_date,target\nApr 2012,T\n")
@@ -188,6 +209,9 @@ def test_non_finite_cell_is_malformed(column, text):
     ("1,e999", "expected a finite number, got '1e999'"),
     ("about,12", "could not convert string to float: 'about12'"),
     ("about ,", "could not convert string to float: 'about'"),
+    ("1_000", "could not convert string to float: '1_000'"),
+    ("\u0661\u0662", "could not convert string to float: '\u0661\u0662'"),
+    ("\uff11,\uff12", "could not convert string to float: '\uff11\uff12'"),
 ])
 def test_a_value_cell_is_named_without_its_thousands_separators(text, reason):
     result = parse_text(HEADER + f'Apr 2012,T,50,CH,B,DE,n/a,n/a,"{text}"\n')
@@ -430,37 +454,102 @@ def deal_list_files(tmp_path):
     return {"fixture": (FIXTURE, "Switzerland", "United States"), "generated": (generated, "France", "Germany")}
 
 
+# --- the streamed CLI path ---------------------------------------------------------
+
+def reference_deal_series(path, bucketing, measure, target=None, bidder=None):
+    """The deal block and series of a waves call, built from parse_deals'
+    rows, held whole and filtered in a list comprehension: the reference
+    the streamed CLI path must match."""
+    result = parse_deals(path)
+    t, b = DealRecord._fields.index("target_country"), DealRecord._fields.index("bidder_country")
+    kept = [row for row in result.rows if (not target or row[t] == target) and (not bidder or row[b] == bidder)]
+    series = aggregate_deals(kept, bucketing)
+    measured = series.counts if measure == "counts" else series.total_value
+    block = {
+        "bucketing": bucketing,
+        "measure": measure,
+        "records": len(result.rows),
+        "malformed": [{"row_number": m.row_number, "reason": m.reason} for m in result.malformed],
+        "warnings": list(result.warnings),
+        "value_exclusions": series.value_exclusions,
+        "buckets": len(measured),
+    }
+    return block, measured
+
+
 @pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
-@pytest.mark.parametrize("countries", [(0, None), (None, 1), (0, 1), ("Atlantis", None), (0, "Atlantis")])
+@pytest.mark.parametrize("countries", [(0, None), (None, 1), (0, 1), ("Atlantis", None), (0, "Atlantis"),
+                                       (None, None)])
 def test_waves_country_filters_match_aggregate_deals(tmp_path, records_reads, capsys, bucketing, countries):
     for name, (path, *known) in deal_list_files(tmp_path).items():
         # an index picks a country the list holds; a name is one it does not
         target, bidder = (known[c] if isinstance(c, int) else c for c in countries)
         flags = [*(["--target-country", target] if target else []), *(["--bidder-country", bidder] if bidder else [])]
-        records = parse_deals(path).records
-
-        def predicate(d):
-            return (not target or d.target_country == target) and (not bidder or d.bidder_country == bidder)
-
-        try:
-            expected = aggregate_deals(records, bucketing, predicate)
-        except EmptyAfterFilterError as exc:
-            expected = exc
-        records_reads.clear()
         for measure in ("counts", "value"):
             argv = ["waves", "--deals", str(path), "--bucketing", bucketing, "--measure", measure, *flags]
-            if isinstance(expected, EmptyAfterFilterError):
+            try:
+                want_block, want = reference_deal_series(path, bucketing, measure, target, bidder)
+            except EmptyAfterFilterError as exc:
                 code = main(argv)
                 out, err = capsys.readouterr()
-                assert (code, out, json.loads(err)) == (1, "", expected.to_diagnostic()), name
+                assert (code, out, json.loads(err)) == (1, "", exc.to_diagnostic()), name
                 continue
             block, measured = _deal_series(build_parser().parse_args(argv))
-            want = expected.counts if measure == "counts" else expected.total_value
+            assert block == want_block, name
             assert measured.timestamps == want.timestamps, name
             assert measured.values.tolist() == want.values.tolist(), name
-            assert block["value_exclusions"] == expected.value_exclusions, name
-            assert block["buckets"] == len(want) and block["records"] == len(records), name
-        assert records_reads == [], name  # the CLI never reads ParseResult.records
+        assert records_reads == [], name  # neither the CLI nor the reference builds DealRecords
+
+
+@pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
+@pytest.mark.parametrize("measure", ["counts", "value"])
+def test_streamed_ingest_report_and_series_match_the_parsed_rows(tmp_path, capsys, bucketing, measure):
+    for name, (path, *_) in deal_list_files(tmp_path).items():
+        out, ref = tmp_path / "series.csv", tmp_path / "reference.csv"
+        code = main(["ingest", "--deals", str(path), "--bucketing", bucketing, "--measure", measure,
+                     "--series-out", str(out)])
+        report = json.loads(capsys.readouterr().out)
+        want_block, want = reference_deal_series(path, bucketing, measure)
+        save_count_series(want, ref)
+        assert code == 0, name
+        assert {key: report[key] for key in want_block} == want_block, name
+        assert out.read_bytes() == ref.read_bytes(), name
+
+
+def test_the_waves_deal_path_holds_the_kept_rows_not_the_whole_list(tmp_path):
+    # What the path may hold: each kept row with its cells and a list slot;
+    # each malformed row as its MalformedRow, its raw cells by column and
+    # its report entry, which 2 KB covers for these short rows; and per
+    # distinct clean row one duplicate key, its cells joined into a string
+    # no larger than the row's line, plus its share of the set's table.
+    # Here that is about 6.9 MB; the path peaks near 3.8 MB, and near 12 MB
+    # when it holds every clean row before filtering.
+    path = tmp_path / "deals.csv"
+    text = generated_deal_list(20_000, seed=13)
+    path.write_text(text, encoding="utf-8")
+    result = parse_deals(path)
+    args = build_parser().parse_args(["waves", "--deals", str(path),
+                                      "--target-country", "France", "--bidder-country", "Germany"])
+    kept = [row for row in result.rows if row[2] == "France" and row[4] == "Germany"]
+    lines = text.splitlines()[1:]
+    clean = {n for n, _ in enumerate(lines, start=2)} - {m.row_number for m in result.malformed}
+    distinct_lines = {lines[n - 2] for n in clean}
+    assert len(distinct_lines) == len(result.rows) - len(result.warnings)
+    bound = (
+        2**19
+        + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) + 8 for row in kept)
+        + 2048 * len(result.malformed)
+        + sum(sys.getsizeof(line) + 128 for line in distinct_lines)
+    )
+    _deal_series(args)  # a first call loads and caches what any call needs
+    tracemalloc.start()
+    try:
+        block, _ = _deal_series(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block["records"] == len(result.rows) > 10 * len(kept) > 0
+    assert peak < bound, (peak, bound)
 
 
 # --- fixture ------------------------------------------------------------------

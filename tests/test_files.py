@@ -32,7 +32,7 @@ from dealdesk import (
     save_count_series,
     serialize_deals,
 )
-from dealdesk._files import _ROWS_PER_WRITE, open_text, write_rows
+from dealdesk._files import _ROWS_PER_WRITE, open_text, parse_integer, parse_number, write_rows
 from dealdesk.deals import REQUIRED_COLUMNS
 from dealdesk.report import write_atomic, write_rows_atomic
 
@@ -410,6 +410,9 @@ BAD_DATES = {
                        "row 2: as_of_date: Invalid isoformat string: '31.12.2005'"),
     "load_snapshots-fiscal-year-end": (load_snapshots, "as_of_date,fiscal_year_end_month\n2005-12-31,Sep\n",
                                        "row 2: fiscal_year_end_month: invalid literal for int() with base 10: 'Sep'"),
+    "load_snapshots-fiscal-year-end-underscore": (load_snapshots, "as_of_date,fiscal_year_end_month\n2005-12-31,1_2\n",
+                                                  "row 2: fiscal_year_end_month: "
+                                                  "invalid literal for int() with base 10: '1_2'"),
     "load_period_statements": (load_period_statements, "period_label,period_kind,start_date,end_date\n"
                                "FY2005,fiscal-year,2005-01-01,Q4 2005\n",
                                "row 2: end_date: Invalid isoformat string: 'Q4 2005'"),
@@ -422,3 +425,25 @@ def test_bad_date_or_integer_cell_names_its_column(name):
     with pytest.raises(ValueError) as exc_info:
         loader(io.StringIO(text))
     assert str(exc_info.value) == message
+
+
+# float and int read these; the one number grammar, ASCII with no
+# underscore, refuses them
+NOT_NUMERALS = ["1_000", "0_5", "\u0661\u0662\u0663", "\uff11\uff12", "1\u00a0", "\u20037", "1e1_0"]
+
+
+@pytest.mark.parametrize("text", NOT_NUMERALS)
+def test_the_number_grammar_refuses_what_float_and_int_read_beyond_ascii_digits(text):
+    float(text)  # float reads each of them
+    with pytest.raises(ValueError) as exc_info:
+        parse_number(text, "revenue")
+    assert str(exc_info.value) == f"revenue: could not convert string to float: {text!r}"
+    with pytest.raises(ValueError) as exc_info:
+        parse_integer(text)
+    assert str(exc_info.value) == f"invalid literal for int() with base 10: {text!r}"
+
+
+@pytest.mark.parametrize("text, number", [(" 12 ", 12), ("-3", -3), ("+7", 7), ("0", 0)])
+def test_the_number_grammar_reads_ascii_numbers_as_float_and_int_do(text, number):
+    assert parse_number(text) == float(text) == number
+    assert parse_integer(text) == int(text) == number

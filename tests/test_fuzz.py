@@ -41,6 +41,7 @@ CHARACTER = st.characters(exclude_categories=["Cs"])
 CELL = st.one_of(
     st.sampled_from([
         "", " ", "0", "1", "-1", "0.5", "12", "100", "1e308", "-1e308", "1e-320", "1,5", "nan", "inf",
+        "1_000", "\u0661\u0662\u0663", "\uff11\uff12",
         "n/a", "-", "trading", "transaction", "fiscal-year", "quarter", "2005-01-03", "Jan 2012", "Feb 1899",
     ]),
     st.floats().map(repr),
