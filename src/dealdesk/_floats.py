@@ -2,6 +2,7 @@
 guard on overflow, and the one least-squares factorization."""
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -13,17 +14,24 @@ import numpy as np
 _QR_BLOCK_ROWS = 1 << 13
 
 
+@contextlib.contextmanager
+def float_range(step: str):
+    """Run a block with numpy's overflow and invalid-value flags raising, so
+    values too large for float arithmetic end in one ``ValueError`` naming
+    ``step``, not in warnings and non-finite results."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:  # not a ValueError
+        raise ValueError(f"{step} overflows the float range: {exc}") from None
+
+
 def float_checked(step):
-    """Run a numeric step with numpy's overflow and invalid-value flags
-    raising, so values too large for float arithmetic end in one
-    ``ValueError`` naming the step, not in warnings and non-finite results."""
+    """Run a numeric step inside ``float_range``, named by the step."""
     @functools.wraps(step)
     def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return step(*args, **kwargs)
-        except FloatingPointError as exc:  # not a ValueError
-            raise ValueError(f"{step.__name__} overflows the float range: {exc}") from None
+        with float_range(step.__name__):
+            return step(*args, **kwargs)
     return checked
 
 

@@ -265,10 +265,12 @@ def _analysis(
 
     Returns the report's ``diagnostics`` and ``rms_by_degree`` blocks, their
     text lines, and the diagnostics, which hold the smoothed series and fit the plot reads.
+    Both blocks come from ``waves.analyze``'s one factorization, so the
+    polynomial's ``rms_error`` equals the table's entry at its degree.
     """
     from . import waves
     d = waves.analyze(series, args.window, args.max_lag, args.degree)
-    rms = waves.rms_by_degree(d.smoothed, [k for k in range(1, 9) if k < len(d.smoothed)])
+    rms = d.rms_by_degree
     blocks = {
         "diagnostics": {
             "window": d.window,

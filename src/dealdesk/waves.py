@@ -16,10 +16,12 @@ from typing import Literal
 import numpy as np
 
 from ._files import parse_number, read_rows, text_cell, write_rows
-from ._floats import float_checked, least_squares_r
+from ._floats import float_checked, float_range, least_squares_r
 from .errors import IllConditionedError, TooShortError, WindowTooLargeError, ZeroVarianceError
 
 _MAX_POLY_DEGREE = 12
+# the degrees of a wave report's RMS table, those below the smoothed length
+_RMS_DEGREES = range(1, 9)
 
 
 class _PeriodLabels(Sequence):
@@ -208,15 +210,29 @@ def dominant_period(s: CountSeries) -> tuple[float, float]:
     Returns (period, power_fraction): the periodogram's peak bin mapped to
     periods per cycle, and that bin's share of total non-DC power.
     """
-    n = len(s)
+    _check_spectrum(s.values)
+    return _period_from_r(s.values, _nested_r(s.values, 1))
+
+
+def _check_spectrum(x: np.ndarray) -> None:
+    n = len(x)
     if n < 8:
         raise TooShortError(f"need >= 8 points for a periodogram, got {n}")
-    x = s.values
     if np.ptp(x) == 0.0:
         raise ZeroVarianceError("series is constant; no spectrum")
-    r = _nested_r(x, 1)
-    intercept, slope = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
-    detrended = x - (intercept + slope * _mapped_t(n, 0, n))
+
+
+def _period_from_r(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    """``dominant_period`` of x, detrended by the line that R's leading 2x2
+    block and z[:2] give (``_nested_r`` at any top >= 1)."""
+    n = len(x)
+    intercept, slope = np.linalg.solve(r[:2, :2], r[:2, -1])
+    line = _mapped_t(n, 0, n)
+    line *= slope
+    line += intercept
+    # x - line in line's own buffer: the same rounding as new arrays, with
+    # one n-point array fewer held at the periodogram's memory peak
+    detrended = np.subtract(x, line, out=line)
     # a straight line leaves only rounding, which the periodogram would
     # read as a cycle
     if np.abs(detrended).max() <= n * np.finfo(float).eps * np.abs(x).max():
@@ -259,23 +275,17 @@ def fit_polynomial(s: CountSeries, degree: int) -> PolynomialFit:
     """
     n = len(s)
     _check_degree(degree, n)
-    r = _nested_r(s.values, degree)
-    coefficients = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
-    # a one-point fit is a constant, which any domain converts unchanged
-    raw = np.polynomial.Polynomial(coefficients, domain=[1, max(n, 2)], window=[-1, 1]).convert()
-    return PolynomialFit(
-        degree=degree,
-        coefficients=tuple(float(c) for c in raw.coef),
-        rms_error=float(np.sqrt(np.sum(r[degree + 1:, -1] ** 2) / n)),
-    )
+    return _fit_from_r(_nested_r(s.values, degree), degree, n)
 
 
 @float_checked
-def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -> dict[int, float]:
+def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(_RMS_DEGREES)) -> dict[int, float]:
     """RMS error of the best fit at each degree, for inspection rather than a verdict.
 
     Equals ``fit_polynomial(s, d).rms_error`` for each d, up to rounding,
     and raises the same errors, but factorizes once, at the top degree.
+    A wave report's table and fit come from one factorization, so there
+    they are equal.
     """
     n = len(s)
     degrees = tuple(degrees)
@@ -283,8 +293,27 @@ def rms_by_degree(s: CountSeries, degrees: Sequence[int] = tuple(range(1, 9))) -
         _check_degree(d, n)
     if not degrees:
         return {}
-    z = _nested_r(s.values, max(degrees))[:, -1]
-    return {d: float(np.sqrt(np.sum(z[d + 1:] ** 2) / n)) for d in degrees}
+    r = _nested_r(s.values, max(degrees))
+    return {d: _rms_from_r(r, d, n) for d in degrees}
+
+
+def _fit_from_r(r: np.ndarray, degree: int, n: int) -> PolynomialFit:
+    """The degree-d fit of a series of n that R[:d+1, :d+1] and z give
+    (``_nested_r`` at any top >= d)."""
+    coefficients = np.linalg.solve(r[:degree + 1, :degree + 1], r[:degree + 1, -1])
+    # a one-point fit is a constant, which any domain converts unchanged
+    raw = np.polynomial.Polynomial(coefficients, domain=[1, max(n, 2)], window=[-1, 1]).convert()
+    return PolynomialFit(
+        degree=degree,
+        coefficients=tuple(float(c) for c in raw.coef),
+        rms_error=_rms_from_r(r, degree, n),
+    )
+
+
+def _rms_from_r(r: np.ndarray, degree: int, n: int) -> float:
+    """RMS error of the degree-d fit of a series of n, from z[d+1:]
+    (``_nested_r`` at any top >= d)."""
+    return float(np.sqrt(np.sum(r[degree + 1:, -1] ** 2) / n))
 
 
 def _mapped_t(n: int, start: int, stop: int) -> np.ndarray:
@@ -319,6 +348,10 @@ class WaveDiagnostics:
     """Smoothing window, cycle measures and the polynomial approximation.
 
     ``smoothed`` is the averaged series every measure was taken on.
+    ``rms_by_degree`` maps each degree 1..8 below the smoothed length to
+    the RMS error of the best fit at that degree; the fit, that table and the
+    periodogram's detrend line come from one factorization, so the fit's
+    ``rms_error`` equals the table's entry at its degree.
     """
 
     window: int
@@ -326,21 +359,40 @@ class WaveDiagnostics:
     dominant_period: float
     power_fraction: float
     polynomial_fit: PolynomialFit
+    rms_by_degree: dict[int, float]
     smoothed: CountSeries = field(repr=False)
 
 
 def analyze(s: CountSeries, window: int, max_lag: int, degree: int) -> WaveDiagnostics:
-    """Smooth, then measure: autocorrelation, dominant period, polynomial fit."""
+    """Smooth, then measure: autocorrelation, dominant period, polynomial fit
+    and RMS error by degree.
+
+    The smoothed series is factorized once (``_nested_r``), at a top that
+    covers both ``degree`` and the RMS table, and the detrend line, the fit
+    and the table all read that R. Each step raises what ``dominant_period``,
+    ``fit_polynomial`` and ``rms_by_degree`` raise, in that order.
+    """
     smoothed = moving_average(s, window)
     acf = autocorrelation(smoothed, max_lag)
-    period, fraction = dominant_period(smoothed)
-    poly = fit_polynomial(smoothed, degree)
+    x, n = smoothed.values, len(smoothed)
+    with float_range("dominant_period"):
+        _check_spectrum(x)
+        # n >= 8 here, so the top covers the table; a degree out of range
+        # is refused below, after the spectrum's own checks
+        r = _nested_r(x, min(max(degree, max(_RMS_DEGREES)), n - 1, _MAX_POLY_DEGREE))
+        period, fraction = _period_from_r(x, r)
+    _check_degree(degree, n)
+    with float_range("fit_polynomial"):
+        poly = _fit_from_r(r, degree, n)
+    with float_range("rms_by_degree"):
+        rms = {d: _rms_from_r(r, d, n) for d in _RMS_DEGREES if d < n}
     return WaveDiagnostics(
         window=window,
         autocorrelation=acf,
         dominant_period=period,
         power_fraction=fraction,
         polynomial_fit=poly,
+        rms_by_degree=rms,
         smoothed=smoothed,
     )
 

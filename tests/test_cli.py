@@ -654,14 +654,56 @@ def test_simulate_wave_poisson_counts(capsys):
      "--degree", "2"],
 ])
 def test_wave_reports_smooth_and_fit_once(args, monkeypatch, capsys):
-    calls = {"moving_average": 0, "fit_polynomial": 0}
+    # the fit, the RMS table and the periodogram's detrend line share one
+    # least-squares factorization
+    calls = {"moving_average": 0, "least_squares_r": 0}
     for name in calls:
         def counted(*a, _name=name, _fn=getattr(waves, name), **kw):
             calls[_name] += 1
             return _fn(*a, **kw)
         monkeypatch.setattr(waves, name, counted)
     run_json(args, capsys)
-    assert calls == {"moving_average": 1, "fit_polynomial": 1}
+    assert calls == {"moving_average": 1, "least_squares_r": 1}
+
+
+@pytest.mark.parametrize("args,degree", [
+    (["--trend", "quadratic", "--length", "5000"], 5),
+    (["--trend", "linear", "--length", "20000", "--window", "10", "--degree", "6"], 6),
+])
+def test_wave_report_rms_error_is_its_table_entry(args, degree, capsys):
+    payload = run_json(["simulate-wave", *args], capsys)
+    rms_error = payload["diagnostics"]["polynomial"]["rms_error"]
+    assert rms_error.hex() == payload["rms_by_degree"][str(degree)].hex()
+
+
+@pytest.mark.parametrize("args,files,diagnostic", [
+    # a straight line is refused for its spectrum before its degree
+    (["simulate-wave", "--trend", "linear", "--params", "2,5", "--sigma", "0", "--length", "3000",
+      "--degree", "13"], {}, ("ZeroVariance", "detrended series carries no power")),
+    (["simulate-wave", "--trend", "linear", "--params", "2,5", "--sigma", "3", "--length", "3000",
+      "--degree", "13"], {}, ("IllConditioned", "degree 13 exceeds the supported maximum 12")),
+    (["simulate-wave", "--length", "10", "--window", "4", "--max-lag", "2"], {},
+     ("TooShort", "need >= 8 points for a periodogram, got 7")),
+    (["simulate-wave", "--length", "20", "--window", "12", "--max-lag", "2", "--degree", "9"], {},
+     ("TooShort", "need more than 9 points, got 9")),
+    (["simulate-wave", "--trend", "ideal", "--params", "0", "--sigma", "1e152", "--no-clamp",
+      "--length", "1000", "--window", "1"], {},
+     ("ValueError", "dominant_period overflows the float range: overflow encountered in reduce")),
+    (["simulate-wave", "--trend", "exponential", "--length", "100000", "--params", "1,0.007"], {},
+     ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
+    (["simulate-wave", "--trend", "quadratic", "--length", "1000", "--params", "1e150,0,0"], {},
+     ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
+    (["waves", "--deals", "{tmp}/deals.csv", "--measure", "value"],
+     {"deals.csv": DEAL_HEADER + "Jan 1900,T,50,CH,B,DE,n/a,n/a,1e308\nDec 2100,U,50,CH,B,DE,n/a,n/a,1e308\n"},
+     ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
+], ids=["line-degree-13", "degree-13", "smoothed-7", "degree-at-length", "overflowing-periodogram",
+        "overflowing-exponential", "overflowing-quadratic", "overflowing-deal-series"])
+def test_wave_diagnostics_keep_their_order(args, files, diagnostic, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
+    assert (code, out) == (1, "")
+    assert one_diagnostic(err) == dict(zip(("error", "message"), diagnostic))
 
 
 # --- installed entry point -----------------------------------------------------------------

@@ -471,8 +471,23 @@ def test_analyze_composes_the_pieces():
     smoothed = moving_average(s, 12)
     assert d.window == 12
     assert d.autocorrelation == autocorrelation(smoothed, 24)
-    assert (d.dominant_period, d.power_fraction) == dominant_period(smoothed)
-    assert d.polynomial_fit.coefficients == fit_polynomial(smoothed, 5).coefficients
+    # one R at analyze's top, 8, serves the fit and the RMS table alike
+    n = len(smoothed)
+    r = waves._nested_r(smoothed.values, 8)
+    solved = np.linalg.solve(r[:6, :6], r[:6, -1])
+    raw = np.polynomial.Polynomial(solved, domain=[1, n], window=[-1, 1]).convert().coef
+    assert d.polynomial_fit.coefficients == tuple(float(c) for c in raw)
+    table = {k: float(np.sqrt(np.sum(r[k + 1:, -1] ** 2) / n)) for k in range(1, 9)}
+    assert d.rms_by_degree == table
+    assert d.polynomial_fit.rms_error == table[5]
+    # the separate functions factorize at their own tops, so they agree
+    # up to rounding: the period bin exactly, coefficients to 1e-12 of the largest
+    period, fraction = dominant_period(smoothed)
+    assert d.dominant_period == period
+    assert d.power_fraction == pytest.approx(fraction, rel=1e-9)
+    alone = np.array(fit_polynomial(smoothed, 5).coefficients)
+    assert np.abs(np.array(d.polynomial_fit.coefficients) - alone).max() <= 1e-12 * np.abs(alone).max()
+    assert d.rms_by_degree == pytest.approx(rms_by_degree(smoothed), rel=1e-12)
 
 
 def test_analyze_carries_the_series_it_measured():
