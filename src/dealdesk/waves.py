@@ -22,6 +22,14 @@ from .errors import IllConditionedError, TooShortError, WindowTooLargeError, Zer
 _MAX_POLY_DEGREE = 12
 # the degrees of a wave report's RMS table, those below the smoothed length
 _RMS_DEGREES = range(1, 9)
+# _power_spectrum splits a length at its largest prime factor p when p is at
+# least _SPLIT_PRIME and the cofactor at least _SPLIT_COFACTOR: past both,
+# the split measured faster than rfft (the crossover table is in CHANGES.md)
+_SPLIT_PRIME = 280
+_SPLIT_COFACTOR = 4
+# _power_spectrum computes its twiddle factors in blocks of about this many
+# (256 KB of complex numbers), so they never add an n-point array
+_TWIDDLE_BLOCK = 1 << 14
 
 
 class _PeriodLabels(Sequence):
@@ -208,7 +216,10 @@ def dominant_period(s: CountSeries) -> tuple[float, float]:
     """Strongest cycle in the series after removing a straight-line trend.
 
     Returns (period, power_fraction): the periodogram's peak bin mapped to
-    periods per cycle, and that bin's share of total non-DC power.
+    periods per cycle, and that bin's share of total non-DC power. The
+    periodogram is ``np.abs(np.fft.rfft(x)) ** 2`` of the detrended series,
+    computed by ``_power_spectrum``: on a length it splits, the bins agree
+    with rfft's to rounding, so the fraction can move in its last digits.
     """
     _check_spectrum(s.values)
     return _period_from_r(s.values, _nested_r(s.values, 1))
@@ -224,7 +235,8 @@ def _check_spectrum(x: np.ndarray) -> None:
 
 def _period_from_r(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """``dominant_period`` of x, detrended by the line that R's leading 2x2
-    block and z[:2] give (``_nested_r`` at any top >= 1)."""
+    block and z[:2] give (``_nested_r`` at any top >= 1). The peak is the
+    first maximum of ``_power_spectrum`` past the DC bin."""
     n = len(x)
     intercept, slope = np.linalg.solve(r[:2, :2], r[:2, -1])
     line = _mapped_t(n, 0, n)
@@ -237,11 +249,61 @@ def _period_from_r(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     # read as a cycle
     if np.abs(detrended).max() <= n * np.finfo(float).eps * np.abs(x).max():
         raise ZeroVarianceError("detrended series carries no power")
-    power = np.abs(np.fft.rfft(detrended)) ** 2
+    power = _power_spectrum(detrended)
     nondc = power[1:]
     total = float(nondc.sum())
     peak = int(np.argmax(nondc)) + 1
     return n / peak, float(power[peak]) / total
+
+
+def _power_spectrum(x: np.ndarray) -> np.ndarray:
+    """The periodogram ``np.abs(np.fft.rfft(x)) ** 2``: bins 0..n//2.
+
+    numpy's FFT (pocketfft) transforms a length n whose largest prime
+    factor p has p*p <= n with a generic O(n*p) pass at p, which is most of
+    rfft's time at 999,991 = 17*59*997 points. When p is at least
+    ``_SPLIT_PRIME`` and n/p at least ``_SPLIT_COFACTOR``, the transform is
+    split at p instead (Cooley & Tukey 1965): length-p rffts down the
+    columns of x laid out as p rows of n/p, which pocketfft computes with
+    Bluestein's O(p log p) algorithm, then twiddle factors and length-n/p
+    ffts along the rows. The bins are rfft's up to rounding, about 1e-15
+    of the largest, with no padding. Every other length goes to rfft.
+    """
+    n = len(x)
+    p = _largest_prime_factor(n)
+    m = n // p
+    if p < _SPLIT_PRIME or m < _SPLIT_COFACTOR:
+        return np.abs(np.fft.rfft(x)) ** 2
+    half = p // 2 + 1
+    # row k1, column j2: the sum over j1 of x[j1*m + j2] * exp(-2πi j1 k1 / p)
+    y = np.fft.rfft(x.reshape(p, m), axis=0)
+    # twiddle row k1 by exp(-2πi k1 j2 / n), a block of rows at a time; the
+    # exponent k1 * j2 < n/2 is exact in integers, so already reduced mod n
+    j2 = np.arange(m)
+    step = max(1, _TWIDDLE_BLOCK // m)
+    for start in range(1, half, step):
+        k1 = np.arange(start, min(start + step, half))[:, None]
+        y[start:start + step] *= np.exp(-2j * np.pi / n * (k1 * j2))
+    # row k1, column k2: X[k1 + p*k2]
+    power = np.abs(np.fft.fft(y, axis=1)) ** 2
+    # bins in natural order; p is odd, and X[k] = conj(X[n - k]) puts a bin
+    # with k1 > p//2 at row p - k1, column m - 1 - k2
+    bins = n // 2 + 1
+    needed = -(-bins // p)
+    spectrum = np.empty((needed, p))
+    spectrum[:, :half] = power[:, :needed].T
+    spectrum[:, half:] = power[half - 1:0:-1, ::-1][:, :needed].T
+    return spectrum.ravel()[:bins]
+
+
+def _largest_prime_factor(n: int) -> int:
+    factor = 2
+    while factor * factor <= n:
+        if n % factor:
+            factor += 1
+        else:
+            n //= factor
+    return n
 
 
 @dataclass(frozen=True)

@@ -689,6 +689,10 @@ def test_wave_report_rms_error_is_its_table_entry(args, degree, capsys):
     (["simulate-wave", "--trend", "ideal", "--params", "0", "--sigma", "1e152", "--no-clamp",
       "--length", "1000", "--window", "1"], {},
      ("ValueError", "dominant_period overflows the float range: overflow encountered in reduce")),
+    # 4496 = 16 * 281, a length whose periodogram is split at 281
+    (["simulate-wave", "--trend", "ideal", "--params", "0", "--sigma", "1e152", "--no-clamp",
+      "--length", "4496", "--window", "1"], {},
+     ("ValueError", "dominant_period overflows the float range: overflow encountered in square")),
     (["simulate-wave", "--trend", "exponential", "--length", "100000", "--params", "1,0.007"], {},
      ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
     (["simulate-wave", "--trend", "quadratic", "--length", "1000", "--params", "1e150,0,0"], {},
@@ -697,7 +701,8 @@ def test_wave_report_rms_error_is_its_table_entry(args, degree, capsys):
      {"deals.csv": DEAL_HEADER + "Jan 1900,T,50,CH,B,DE,n/a,n/a,1e308\nDec 2100,U,50,CH,B,DE,n/a,n/a,1e308\n"},
      ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
 ], ids=["line-degree-13", "degree-13", "smoothed-7", "degree-at-length", "overflowing-periodogram",
-        "overflowing-exponential", "overflowing-quadratic", "overflowing-deal-series"])
+        "overflowing-split-periodogram", "overflowing-exponential", "overflowing-quadratic",
+        "overflowing-deal-series"])
 def test_wave_diagnostics_keep_their_order(args, files, diagnostic, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -342,6 +342,50 @@ def test_dominant_period_errors():
         dominant_period(line)
 
 
+# the primes from half to twice the smallest prime the periodogram is split at
+_PRIMES_NEAR_SPLIT = [q for q in range(waves._SPLIT_PRIME // 2, 2 * waves._SPLIT_PRIME)
+                      if waves._largest_prime_factor(q) == q]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(_PRIMES_NEAR_SPLIT), st.integers(1, 2 * waves._SPLIT_COFACTOR),
+       st.integers(0, 2**32 - 1))
+def test_power_spectrum_is_rfft_on_both_sides_of_the_split(p, m, seed):
+    n = p * m
+    x = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    reference = np.abs(np.fft.rfft(x)) ** 2
+    power = waves._power_spectrum(x)
+    assert power.shape == reference.shape
+    assert np.abs(power - reference).max() <= 1e-12 * reference.max()
+    t = np.arange(1, n + 1, dtype=float)
+    detrended = np.abs(np.fft.rfft(x - np.polynomial.Polynomial.fit(t, x, 1)(t))) ** 2
+    second, first = np.sort(detrended[1:])[-2:]
+    if first - second > 1e-12 * first:
+        period, _ = dominant_period(_series(x))
+        assert period == n / (int(np.argmax(detrended[1:])) + 1)
+
+
+@pytest.mark.parametrize("n,ndim", [
+    (999_991, 2),  # 17 * 59 * 997
+    (1_000_000, 1),  # 2^6 * 5^6
+    (999_983, 1),  # prime: no factor to split at
+    (_PRIMES_NEAR_SPLIT[-1] * waves._SPLIT_COFACTOR, 2),
+    (_PRIMES_NEAR_SPLIT[-1] * (waves._SPLIT_COFACTOR - 1), 1),
+    (max(q for q in _PRIMES_NEAR_SPLIT if q < waves._SPLIT_PRIME) * 4 * waves._SPLIT_COFACTOR, 1),
+])
+def test_power_spectrum_splits_only_past_both_constants(n, ndim, monkeypatch):
+    rfft, seen = np.fft.rfft, []
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.ndim(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    power = waves._power_spectrum(np.sin(np.arange(n, dtype=float)))
+    assert seen == [ndim]
+    assert power.shape == (n // 2 + 1,)
+
+
 # --- polynomial fits --------------------------------------------------------------
 
 def test_fit_polynomial_recovers_exact_quadratic():
