@@ -27,8 +27,8 @@ _RMS_DEGREES = range(1, 9)
 # the split measured faster than rfft (the crossover table is in CHANGES.md)
 _SPLIT_PRIME = 280
 _SPLIT_COFACTOR = 4
-# _power_spectrum computes its twiddle factors in blocks of about this many
-# (256 KB of complex numbers), so they never add an n-point array
+# _power_spectrum twiddles and transforms its rows in blocks of about this
+# many numbers (256 KB of complex numbers), so neither adds an n-point array
 _TWIDDLE_BLOCK = 1 << 14
 
 
@@ -155,14 +155,18 @@ def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) 
 
     Periods run t = 1..length. Gaussian noise adds to the trend; poisson
     replaces each point with a count drawn at the trend mean (clamped to
-    zero when negative). ``clamp_at_zero`` floors the result so it can
-    stand in for transaction counts.
+    zero when negative), and refuses a mean too large for numpy to draw
+    at. ``clamp_at_zero`` floors the result so it can stand in for
+    transaction counts. Every step after the trend writes into one buffer:
+    gaussian noise takes the trend in place, poisson counts replace the
+    means in theirs, and the floor is taken in place.
     """
     if length < 2:
         raise TooShortError(f"series length must be >= 2, got {length}")
     t = np.arange(1, length + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         trend = model.trend(t)
+    del t
     if not np.isfinite(trend).all():
         raise ValueError(
             f"{model.kind} trend with parameters {model.parameters} overflows the float range "
@@ -170,11 +174,21 @@ def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) 
         )
     rng = np.random.default_rng(model.seed)
     if model.noise == "poisson":
-        values = rng.poisson(np.maximum(trend, 0.0)).astype(float)
+        values = np.maximum(trend, 0.0, out=trend)
+        try:
+            # the counts, cast to float in the means' own buffer
+            values[...] = rng.poisson(values)
+        except ValueError as exc:  # numpy's bare "lam value too large"
+            raise ValueError(
+                f"poisson noise cannot be drawn at the largest trend mean, {float(values.max())!r}: {exc}"
+            ) from None
     else:
-        values = trend + (rng.normal(0.0, model.noise_sigma, length) if model.noise_sigma > 0 else 0.0)
+        # the noise takes the trend in place: noise + trend rounds as trend + noise
+        values = rng.normal(0.0, model.noise_sigma, length) if model.noise_sigma > 0 else np.zeros(length)
+        values += trend
+    del trend
     if clamp_at_zero:
-        values = np.maximum(values, 0.0)
+        np.maximum(values, 0.0, out=values)
     return CountSeries(timestamps=_PeriodLabels(range(1, length + 1)), values=values)
 
 
@@ -186,11 +200,15 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 @float_checked
 def moving_average(s: CountSeries, window: int) -> CountSeries:
-    """Trailing equal-weight average; each output keeps its window-end label."""
+    """Trailing equal-weight average; each output keeps its window-end label.
+
+    Each window is summed and then divided, in the sum's own buffer.
+    """
     if not 1 <= window <= len(s):
         raise WindowTooLargeError(f"window {window} outside 1..{len(s)}")
     # sum before dividing so constant series come back bit-identical
-    smoothed = np.convolve(s.values, np.ones(window), mode="valid") / window
+    smoothed = np.convolve(s.values, np.ones(window), mode="valid")
+    smoothed /= window
     return CountSeries(timestamps=s.timestamps[window - 1:], values=smoothed)
 
 
@@ -236,7 +254,21 @@ def _check_spectrum(x: np.ndarray) -> None:
 def _period_from_r(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     """``dominant_period`` of x, detrended by the line that R's leading 2x2
     block and z[:2] give (``_nested_r`` at any top >= 1). The peak is the
-    first maximum of ``_power_spectrum`` past the DC bin."""
+    first maximum of ``_power_spectrum`` past the DC bin.
+
+    The detrended buffer goes straight into ``_power_spectrum``, which
+    holds its only reference and drops it after its first transform.
+    """
+    n = len(x)
+    power = _power_spectrum(_detrended(x, r))
+    nondc = power[1:]
+    total = float(nondc.sum())
+    peak = int(np.argmax(nondc)) + 1
+    return n / peak, float(power[peak]) / total
+
+
+def _detrended(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x less the line of ``_period_from_r``, in a new buffer."""
     n = len(x)
     intercept, slope = np.linalg.solve(r[:2, :2], r[:2, -1])
     line = _mapped_t(n, 0, n)
@@ -249,11 +281,7 @@ def _period_from_r(x: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     # read as a cycle
     if np.abs(detrended).max() <= n * np.finfo(float).eps * np.abs(x).max():
         raise ZeroVarianceError("detrended series carries no power")
-    power = _power_spectrum(detrended)
-    nondc = power[1:]
-    total = float(nondc.sum())
-    peak = int(np.argmax(nondc)) + 1
-    return n / peak, float(power[peak]) / total
+    return detrended
 
 
 def _power_spectrum(x: np.ndarray) -> np.ndarray:
@@ -266,17 +294,27 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     split at p instead (Cooley & Tukey 1965): length-p rffts down the
     columns of x laid out as p rows of n/p, which pocketfft computes with
     Bluestein's O(p log p) algorithm, then twiddle factors and length-n/p
-    ffts along the rows. The bins are rfft's up to rounding, about 1e-15
-    of the largest, with no padding. Every other length goes to rfft.
+    ffts along the rows, a block of rows at a time. The bins are rfft's up
+    to rounding, about 1e-15 of the largest, with no padding. Every other
+    length goes to rfft.
+
+    It consumes x: once the first transform has read it, x is dropped, so
+    a caller that passes its only reference frees it there. Each later
+    step keeps only the arrays it still needs and squares in place.
     """
     n = len(x)
     p = _largest_prime_factor(n)
     m = n // p
     if p < _SPLIT_PRIME or m < _SPLIT_COFACTOR:
-        return np.abs(np.fft.rfft(x)) ** 2
+        z = np.fft.rfft(x)
+        del x
+        power = np.abs(z)
+        del z
+        return np.square(power, out=power)
     half = p // 2 + 1
     # row k1, column j2: the sum over j1 of x[j1*m + j2] * exp(-2πi j1 k1 / p)
     y = np.fft.rfft(x.reshape(p, m), axis=0)
+    del x
     # twiddle row k1 by exp(-2πi k1 j2 / n), a block of rows at a time; the
     # exponent k1 * j2 < n/2 is exact in integers, so already reduced mod n
     j2 = np.arange(m)
@@ -284,8 +322,9 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     for start in range(1, half, step):
         k1 = np.arange(start, min(start + step, half))[:, None]
         y[start:start + step] *= np.exp(-2j * np.pi / n * (k1 * j2))
-    # row k1, column k2: X[k1 + p*k2]
-    power = np.abs(np.fft.fft(y, axis=1)) ** 2
+    # row k1, column k2: |X[k1 + p*k2]|**2
+    power = _row_power(y)
+    del y
     # bins in natural order; p is odd, and X[k] = conj(X[n - k]) puts a bin
     # with k1 > p//2 at row p - k1, column m - 1 - k2
     bins = n // 2 + 1
@@ -294,6 +333,17 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     spectrum[:, :half] = power[:, :needed].T
     spectrum[:, half:] = power[half - 1:0:-1, ::-1][:, :needed].T
     return spectrum.ravel()[:bins]
+
+
+def _row_power(y: np.ndarray) -> np.ndarray:
+    """``np.abs(np.fft.fft(y, axis=1)) ** 2`` of a 2-D complex y, transformed
+    a block of rows at a time, as ``_power_spectrum`` twiddles them, into one
+    float array that is then squared in place."""
+    step = max(1, _TWIDDLE_BLOCK // y.shape[1])
+    power = np.empty(y.shape)
+    for start in range(0, len(y), step):
+        np.abs(np.fft.fft(y[start:start + step], axis=1), out=power[start:start + step])
+    return np.square(power, out=power)
 
 
 def _largest_prime_factor(n: int) -> int:

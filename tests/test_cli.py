@@ -305,6 +305,8 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
     (["simulate-wave", "--trend", "quadratic", "--params", "1e300,0,0", "--sigma", "0", "--length", "100",
       "--series-out", "{tmp}/s.csv", "--plot-out", "{tmp}/p.csv", "--output", "{tmp}/r.json"],
      {}, "ValueError", "autocorrelation overflows"),
+    (["simulate-wave", "--noise", "poisson", "--trend", "ideal", "--params", "1e19", "--length", "100"],
+     {}, "ValueError", "poisson noise cannot be drawn at the largest trend mean, 1e+19"),
     (["ingest", "--deals", "{tmp}/deals.csv", "--measure", "value", "--series-out", "{tmp}/s.csv"],
      {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
     (["waves", "--deals", "{tmp}/deals.csv", "--measure", "value"],
@@ -330,7 +332,7 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
      "row 3: comparable 'B': kind must be trading or transaction, got 'Transaction'"),
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
-        "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis",
+        "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis", "poisson-mean-too-large",
         "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression",
         "swapped-dates", "noiseless-line", "regime-cell-2", "regress-oversized-cell", "comps-unknown-kind"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
