@@ -1,7 +1,8 @@
 """Batch command-line surface.
 
-Exit codes: 0 success, 1 module error (machine-readable diagnostic on
-stderr), 2 invalid configuration, or a destination that cannot be written.
+Exit codes: 0 success, 1 module error or out of memory (machine-readable
+diagnostic on stderr), 2 invalid configuration, or a destination that
+cannot be written.
 Reports go to --output atomically, or to stdout when no output path is
 given; the same inputs and seed always produce byte-identical JSON.
 
@@ -304,8 +305,8 @@ def _deal_series(args: argparse.Namespace) -> tuple[dict, waves.CountSeries]:
     The rows go straight from ``deals.stream_deals`` into ``aggregate_deals``,
     whose predicate counts every clean row and keeps those that pass the
     --target-country and --bidder-country filters, where the command has
-    them. So the call holds the kept rows, the malformed ones and one key
-    per distinct clean row, never the whole list, and builds no ``DealRecord``.
+    them. So the call holds the buckets, the malformed rows and one key per
+    distinct clean row, never a kept row, and builds no ``DealRecord``.
     """
     from . import deals
     malformed: list = []
@@ -425,6 +426,8 @@ _COMMANDS = {
 def _emit_error(exc: Exception) -> None:
     if isinstance(exc, DealdeskError):
         diagnostic = exc.to_diagnostic()
+    elif isinstance(exc, MemoryError):  # numpy raises a private subclass
+        diagnostic = {"error": "MemoryError", "message": str(exc) or "out of memory"}
     else:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(report.canonical_json(diagnostic))
@@ -466,7 +469,7 @@ def main(argv=None) -> int:
     except ConfigInvalidError as exc:
         _emit_error(exc)
         return 2
-    except (DealdeskError, ValueError) as exc:
+    except (DealdeskError, ValueError, MemoryError) as exc:
         _emit_error(exc)
         return 1
     return 0

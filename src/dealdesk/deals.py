@@ -273,36 +273,39 @@ def aggregate_deals(
 
     ``deals`` are ``DealRecord``s or rows in their field order, such as
     ``ParseResult.rows`` or a ``stream_deals`` generator, read once, by
-    position. ``predicate`` sees each as given, and only the deals it keeps
-    are held, so a streamed list is never held whole. Buckets run
+    position. ``predicate`` sees each as given. Each kept deal is folded
+    into its bucket's count and total as it is read, so the call holds
+    buckets, never a deal, and a streamed list is never held. Buckets run
     contiguously from the earliest to the latest kept deal. Deals without
     a value still count; they are excluded from the totals and tallied in
     ``value_exclusions``.
     A total that overflows the float range raises ``ValueError`` naming its bucket.
     """
-    kept = list(deals) if predicate is None else [d for d in deals if predicate(d)]
-    if not kept:
-        raise EmptyAfterFilterError("no deals left after filtering")
     per_year = _PER_YEAR[bucketing]
-    # buckets numbered from year 0, so consecutive buckets differ by one
-    keys = [year * per_year + (month - 1) * per_year // 12 for year, month in map(_announced, kept)]
-    lo, hi = min(keys), max(keys)
-    counts = [0] * (hi - lo + 1)
-    totals = [0.0] * (hi - lo + 1)
+    counts: dict[int, int] = {}
+    sums: dict[int, float] = {}
     exclusions = 0
-    for key, value in zip(keys, map(_value_usdm, kept)):
-        counts[key - lo] += 1
+    for deal in deals if predicate is None else filter(predicate, deals):
+        # buckets numbered from year 0, so consecutive buckets differ by one
+        year, month = _announced(deal)
+        key = year * per_year + (month - 1) * per_year // 12
+        counts[key] = counts.get(key, 0) + 1
+        value = _value_usdm(deal)
         if value is None:
             exclusions += 1
         else:
-            totals[key - lo] += value
-    labels = tuple(_bucket_label(k, bucketing) for k in range(lo, hi + 1))
+            sums[key] = sums.get(key, 0.0) + value
+    if not counts:
+        raise EmptyAfterFilterError("no deals left after filtering")
+    buckets = range(min(counts), max(counts) + 1)
+    labels = tuple(_bucket_label(k, bucketing) for k in buckets)
+    totals = [sums.get(k, 0.0) for k in buckets]
     overflowed = next((label for label, total in zip(labels, totals) if not math.isfinite(total)), None)
     if overflowed is not None:
         raise ValueError(f"value total of bucket {overflowed} overflows the float range")
     return DealSeries(
         bucketing=bucketing,
-        counts=CountSeries(timestamps=labels, values=counts),
+        counts=CountSeries(timestamps=labels, values=[counts.get(k, 0) for k in buckets]),
         total_value=CountSeries(timestamps=labels, values=totals),
         value_exclusions=exclusions,
     )

@@ -748,6 +748,26 @@ def test_closed_stdout_exits_2_with_one_diagnostic():
     assert diagnostic == {"error": "ConfigInvalid", "message": "cannot write stdout: Broken pipe"}
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps allocations on Linux")
+def test_out_of_memory_exits_1_with_one_diagnostic():
+    # a child capped at 3 GB of address space, after its imports, asks for
+    # a 16 GB array; numpy raises its private MemoryError subclass
+    child = (
+        "import resource, sys\n"
+        "from dealdesk import cli, waves\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, "simulate-wave", "--length", "2000000000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, ""), result.stderr
+    diagnostic = one_diagnostic(result.stderr)
+    assert diagnostic["error"] == "MemoryError"
+    assert "Unable to allocate" in diagnostic["message"]
+
+
 # --- determinism across processes ---------------------------------------------------
 
 DEALS_ARGS = ["--deals", str(DATA / "swiss_deals_2012.csv"), "--measure", "value"]

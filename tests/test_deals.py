@@ -516,31 +516,29 @@ def test_streamed_ingest_report_and_series_match_the_parsed_rows(tmp_path, capsy
         assert out.read_bytes() == ref.read_bytes(), name
 
 
-def test_the_waves_deal_path_holds_the_kept_rows_not_the_whole_list(tmp_path):
-    # What the path may hold: each kept row with its cells and a list slot;
-    # each malformed row as its MalformedRow, its raw cells by column and
-    # its report entry, which 2 KB covers for these short rows; and per
-    # distinct clean row one duplicate key, its cells joined into a string
-    # no larger than the row's line, plus its share of the set's table.
-    # Here that is about 6.9 MB; the path peaks near 3.8 MB, and near 12 MB
-    # when it holds every clean row before filtering.
+@pytest.mark.parametrize("command", [
+    ["waves", "--target-country", "France", "--bidder-country", "Germany"],
+    ["waves"],
+    ["ingest", "--series-out", "{tmp}/series.csv"],
+], ids=["waves-filtered", "waves", "ingest"])
+def test_the_deal_path_holds_buckets_not_rows(tmp_path, command):
+    # What the path may hold: each bucket with its label, count, total and
+    # their dict and list slots, which 512 bytes covers; each malformed row
+    # as its MalformedRow, its raw cells by column and its report entry,
+    # which 2 KB covers for these short rows; and per distinct clean row
+    # one duplicate key, its cells joined into a string no larger than the
+    # row's line, plus its share of the set's table. No kept row: here that
+    # is about 6.4 MB; the path peaks near 3.5 MB, and one that held every
+    # clean row would peak near 12 MB unfiltered.
     path = tmp_path / "deals.csv"
     text = generated_deal_list(20_000, seed=13)
     path.write_text(text, encoding="utf-8")
     result = parse_deals(path)
-    args = build_parser().parse_args(["waves", "--deals", str(path),
-                                      "--target-country", "France", "--bidder-country", "Germany"])
-    kept = [row for row in result.rows if row[2] == "France" and row[4] == "Germany"]
+    args = build_parser().parse_args([a.format(tmp=tmp_path) for a in command] + ["--deals", str(path)])
     lines = text.splitlines()[1:]
     clean = {n for n, _ in enumerate(lines, start=2)} - {m.row_number for m in result.malformed}
     distinct_lines = {lines[n - 2] for n in clean}
     assert len(distinct_lines) == len(result.rows) - len(result.warnings)
-    bound = (
-        2**19
-        + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) + 8 for row in kept)
-        + 2048 * len(result.malformed)
-        + sum(sys.getsizeof(line) + 128 for line in distinct_lines)
-    )
     _deal_series(args)  # a first call loads and caches what any call needs
     tracemalloc.start()
     try:
@@ -548,7 +546,13 @@ def test_the_waves_deal_path_holds_the_kept_rows_not_the_whole_list(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block["records"] == len(result.rows) > 10 * len(kept) > 0
+    bound = (
+        2**19
+        + 512 * block["buckets"]
+        + 2048 * len(result.malformed)
+        + sum(sys.getsizeof(line) + 128 for line in distinct_lines)
+    )
+    assert block["records"] == len(result.rows)
     assert peak < bound, (peak, bound)
 
 
@@ -635,6 +639,13 @@ def test_bucket_spans_cross_year_boundaries():
     assert series.counts.timestamps == ("2011-12", "2012-01")
 
 
+BUCKET_LABELS = {
+    "month": lambda year, month: f"{year}-{month:02d}",
+    "quarter": lambda year, month: f"{year}Q{(month - 1) // 3 + 1}",
+    "year": lambda year, month: str(year),
+}
+
+
 def test_counts_sum_matches_kept_deals_property():
     import numpy as np
 
@@ -646,20 +657,30 @@ def test_counts_sum_matches_kept_deals_property():
                  float(rng.uniform(1, 100)) if rng.random() < 0.7 else None)
             for _ in range(n)
         ]
-        for bucketing in ("month", "quarter", "year"):
+        for bucketing, label in BUCKET_LABELS.items():
             series = aggregate_deals(deals, bucketing)
             assert sum(series.counts.values) == n
-            expected_total = sum(d.value_usdm for d in deals if d.value_usdm is not None)
-            np.testing.assert_allclose(sum(series.total_value.values), expected_total, rtol=1e-12)
+            # each bucket's total is its values added in row order from 0.0, to the bit
+            totals: dict = {}
+            for d in deals:
+                if d.value_usdm is not None:
+                    key = label(*d.announced)
+                    totals[key] = totals.get(key, 0.0) + d.value_usdm
+            assert set(totals) <= set(series.total_value.timestamps)
+            want = [totals.get(key, 0.0).hex() for key in series.total_value.timestamps]
+            assert [float(total).hex() for total in series.total_value.values] == want
             assert series.value_exclusions == sum(1 for d in deals if d.value_usdm is None)
 
 
 def test_predicate_filters_and_empty_filter_raises():
     deals = [deal(2012, 1, 5.0, country="CH"), deal(2012, 2, 5.0, country="DE")]
-    swiss = aggregate_deals(deals, "month", predicate=lambda d: d.target_country == "CH")
-    assert sum(swiss.counts.values) == 1
-    with pytest.raises(EmptyAfterFilterError):
-        aggregate_deals(deals, "month", predicate=lambda d: d.target_country == "FR")
+    # a list, and a one-shot generator read once
+    for source in (lambda: deals, lambda: (d for d in deals)):
+        swiss = aggregate_deals(source(), "month", predicate=lambda d: d.target_country == "CH")
+        assert sum(swiss.counts.values) == 1
+        assert swiss.counts.timestamps == ("2012-01",) and swiss.total_value.values.tolist() == [5.0]
+        with pytest.raises(EmptyAfterFilterError):
+            aggregate_deals(source(), "month", predicate=lambda d: d.target_country == "FR")
 
 
 def test_fixture_monthly_counts():
