@@ -64,7 +64,9 @@ def _numbers(text: str) -> tuple[float, ...]:
 
 
 def _is_destination(path: str) -> bool:
-    return not os.path.isdir(path) and os.path.isdir(os.path.dirname(os.path.abspath(path)))
+    # "" and a path ending in a separator name no file
+    return (os.path.basename(path) != "" and not os.path.isdir(path)
+            and os.path.isdir(os.path.dirname(os.path.abspath(path))))
 
 
 # Destinations are checked while parsing, so a bad one fails before any computation.

@@ -27,8 +27,8 @@ _RMS_DEGREES = range(1, 9)
 # the split measured faster than rfft (the crossover table is in CHANGES.md)
 _SPLIT_PRIME = 280
 _SPLIT_COFACTOR = 4
-# _power_spectrum twiddles and transforms its rows in blocks of about this
-# many numbers (256 KB of complex numbers), so neither adds an n-point array
+# _power_spectrum twiddles and transforms its rows in one pass over blocks of
+# about this many numbers (256 KB of complex numbers), adding no n-point array
 _TWIDDLE_BLOCK = 1 << 14
 
 
@@ -209,7 +209,12 @@ def moving_average(s: CountSeries, window: int) -> CountSeries:
     # sum before dividing so constant series come back bit-identical
     smoothed = np.convolve(s.values, np.ones(window), mode="valid")
     smoothed /= window
-    return CountSeries(timestamps=s.timestamps[window - 1:], values=smoothed)
+    try:
+        return CountSeries(timestamps=s.timestamps[window - 1:], values=smoothed)
+    except ValueError:
+        # np.convolve raises no float flag, and s is finite, so only a window
+        # sum can be out of range; float_checked names this step
+        raise FloatingPointError("overflow encountered in a window sum") from None
 
 
 @float_checked
@@ -294,9 +299,9 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     split at p instead (Cooley & Tukey 1965): length-p rffts down the
     columns of x laid out as p rows of n/p, which pocketfft computes with
     Bluestein's O(p log p) algorithm, then twiddle factors and length-n/p
-    ffts along the rows, a block of rows at a time. The bins are rfft's up
-    to rounding, about 1e-15 of the largest, with no padding. Every other
-    length goes to rfft.
+    ffts along the rows, both in one pass over blocks of rows. The bins
+    are rfft's up to rounding, about 1e-15 of the largest, with no padding.
+    Every other length goes to rfft.
 
     It consumes x: once the first transform has read it, x is dropped, so
     a caller that passes its only reference frees it there. Each later
@@ -315,16 +320,19 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     # row k1, column j2: the sum over j1 of x[j1*m + j2] * exp(-2πi j1 k1 / p)
     y = np.fft.rfft(x.reshape(p, m), axis=0)
     del x
-    # twiddle row k1 by exp(-2πi k1 j2 / n), a block of rows at a time; the
-    # exponent k1 * j2 < n/2 is exact in integers, so already reduced mod n
+    # one pass over blocks of rows: twiddle row k1 in place by
+    # exp(-2πi k1 j2 / n), whose exponent k1 * j2 < n/2 is exact in integers,
+    # so already reduced mod n (row 0's factor is 1), then take the rows'
+    # length-m ffts, whose abs at row k1, column k2 is |X[k1 + p*k2]|
     j2 = np.arange(m)
     step = max(1, _TWIDDLE_BLOCK // m)
-    for start in range(1, half, step):
+    power = np.empty(y.shape)
+    for start in range(0, half, step):
         k1 = np.arange(start, min(start + step, half))[:, None]
         y[start:start + step] *= np.exp(-2j * np.pi / n * (k1 * j2))
-    # row k1, column k2: |X[k1 + p*k2]|**2
-    power = _row_power(y)
+        np.abs(np.fft.fft(y[start:start + step], axis=1), out=power[start:start + step])
     del y
+    np.square(power, out=power)
     # bins in natural order; p is odd, and X[k] = conj(X[n - k]) puts a bin
     # with k1 > p//2 at row p - k1, column m - 1 - k2
     bins = n // 2 + 1
@@ -333,17 +341,6 @@ def _power_spectrum(x: np.ndarray) -> np.ndarray:
     spectrum[:, :half] = power[:, :needed].T
     spectrum[:, half:] = power[half - 1:0:-1, ::-1][:, :needed].T
     return spectrum.ravel()[:bins]
-
-
-def _row_power(y: np.ndarray) -> np.ndarray:
-    """``np.abs(np.fft.fft(y, axis=1)) ** 2`` of a 2-D complex y, transformed
-    a block of rows at a time, as ``_power_spectrum`` twiddles them, into one
-    float array that is then squared in place."""
-    step = max(1, _TWIDDLE_BLOCK // y.shape[1])
-    power = np.empty(y.shape)
-    for start in range(0, len(y), step):
-        np.abs(np.fft.fft(y[start:start + step], axis=1), out=power[start:start + step])
-    return np.square(power, out=power)
 
 
 def _largest_prime_factor(n: int) -> int:

@@ -128,28 +128,38 @@ def test_missing_input_exits_2_with_diagnostic(capsys):
     assert "/nonexistent.csv" in diagnostic["message"]
 
 
-@pytest.mark.parametrize("args", [
-    ["value", "--comps", str(DATA), "--target", str(DATA / "target.csv"),
-     "--ranges", str(DATA / "ranges.ini")],
-    ["waves", "--deals", str(DATA)],
-    ["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
-     "--ranges", "{tmp}/no_header.ini"],
-    ["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
-     "--ranges", "{tmp}/duplicate_key.ini"],
-    VALUE_ARGS + ["--output", "{tmp}/missing/report.json"],
-    VALUE_ARGS + ["--output", "{tmp}"],
-    ["simulate-wave", "--series-out", "{tmp}/missing/series.csv"],
-    ["simulate-wave", "--plot-out", "{tmp}/missing/plot.csv"],
-    ["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/missing/s.csv"],
+@pytest.mark.parametrize("args,names", [
+    (["value", "--comps", str(DATA), "--target", str(DATA / "target.csv"),
+      "--ranges", str(DATA / "ranges.ini")], f"cannot open {DATA}"),
+    (["waves", "--deals", str(DATA)], f"cannot open {DATA}"),
+    (["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
+      "--ranges", "{tmp}/no_header.ini"], "no_header.ini"),
+    (["value", "--comps", str(DATA / "comps.csv"), "--target", str(DATA / "target.csv"),
+      "--ranges", "{tmp}/duplicate_key.ini"], "duplicate_key.ini"),
+    (VALUE_ARGS + ["--output", "{tmp}/missing/report.json"], "argument --output"),
+    (VALUE_ARGS + ["--output", "{tmp}"], "argument --output"),
+    (["simulate-wave", "--series-out", "{tmp}/missing/series.csv"], "argument --series-out"),
+    (["simulate-wave", "--plot-out", "{tmp}/missing/plot.csv"], "argument --plot-out"),
+    (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/missing/s.csv"],
+     "argument --series-out"),
+    # a destination must name a file: not an empty path, nor one ending in a separator
+    (VALUE_ARGS + ["--output", ""], "argument --output"),
+    (VALUE_ARGS + ["--output", "{tmp}/missing/"], "argument --output"),
+    (["simulate-wave", "--series-out", ""], "argument --series-out"),
+    (["simulate-wave", "--plot-out", ""], "argument --plot-out"),
+    (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", ""], "argument --series-out"),
 ], ids=["comps-dir", "deals-dir", "ranges-no-header", "ranges-duplicate-key",
         "output-missing-dir", "output-is-dir", "series-out-missing-dir", "plot-out-missing-dir",
-        "ingest-series-out-missing-dir"])
-def test_unusable_path_exits_2_with_one_diagnostic(args, tmp_path, capsys):
+        "ingest-series-out-missing-dir", "output-empty", "output-ends-in-separator", "series-out-empty",
+        "plot-out-empty", "ingest-series-out-empty"])
+def test_unusable_path_exits_2_with_one_diagnostic(args, names, tmp_path, capsys):
     (tmp_path / "no_header.ini").write_text("ltm_ebitda = 9.5..10.5\n")
     (tmp_path / "duplicate_key.ini").write_text("[trading]\nx = 1..2\nx = 3..4\n")
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "ConfigInvalid"
+    diagnostic = one_diagnostic(err)
+    assert diagnostic["error"] == "ConfigInvalid"
+    assert names in diagnostic["message"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -702,9 +712,13 @@ def test_wave_report_rms_error_is_its_table_entry(args, degree, capsys):
     (["waves", "--deals", "{tmp}/deals.csv", "--measure", "value"],
      {"deals.csv": DEAL_HEADER + "Jan 1900,T,50,CH,B,DE,n/a,n/a,1e308\nDec 2100,U,50,CH,B,DE,n/a,n/a,1e308\n"},
      ("ValueError", "autocorrelation overflows the float range: overflow encountered in matmul")),
+    # np.convolve returns inf with no float flag: the smoothing step is named all the same
+    (["simulate-wave", "--trend", "ideal", "--params", "1e308", "--sigma", "0", "--window", "3",
+      "--length", "100"], {},
+     ("ValueError", "moving_average overflows the float range: overflow encountered in a window sum")),
 ], ids=["line-degree-13", "degree-13", "smoothed-7", "degree-at-length", "overflowing-periodogram",
         "overflowing-split-periodogram", "overflowing-exponential", "overflowing-quadratic",
-        "overflowing-deal-series"])
+        "overflowing-deal-series", "overflowing-window-sum"])
 def test_wave_diagnostics_keep_their_order(args, files, diagnostic, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
