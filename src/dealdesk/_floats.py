@@ -43,7 +43,8 @@ def least_squares_r(y: np.ndarray, p: int, fill) -> np.ndarray:
     ``fill(block, start, stop)`` writes A's rows start..stop-1 into
     ``block``. The fit solves R[:p, :p] c = R[:p, p] and leaves a squared
     residual norm of R[p, p]**2; nothing is pivoted, so |R[j, j]| is
-    column j's distance from the columns before it.
+    column j's distance from the columns before it. A non-finite R raises
+    ``FloatingPointError``, which ``float_range`` names by its step.
     """
     n = len(y)
     width = p + 1
@@ -58,7 +59,7 @@ def least_squares_r(y: np.ndarray, p: int, fill) -> np.ndarray:
         a[len(r):, p] = y[start:stop]
         r = np.linalg.qr(a, mode="r")
     if not np.isfinite(r).all():  # LAPACK raises no float flags
-        raise ValueError("least-squares data is not finite, or too large for a QR factor")
+        raise FloatingPointError("least-squares data is not finite, or too large for a QR factor")
     square = np.zeros((width, width))
     square[:len(r)] = r
     return square

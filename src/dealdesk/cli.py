@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -75,6 +76,27 @@ _DESTINATION = _checked(str, _is_destination, "a file in an existing directory")
 _INPUT_FLAGS = ("comps", "target", "ranges", "returns", "data", "deals")
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except (OSError, ValueError):  # a path that does not exist, or holds NUL
+        return False
+
+
+def _check_distinct_files(args: argparse.Namespace) -> None:
+    """Refuse a destination that names the same file as another destination
+    or an input: one write would replace the other, or the input before its
+    digest is taken."""
+    named = [(flag, getattr(args, flag)) for flag in ("output", "series_out", "plot_out", *_INPUT_FLAGS)
+             if getattr(args, flag, None)]
+    # destinations come first, so a pair holding one has it on the left
+    for (flag, path), (other, other_path) in itertools.combinations(named, 2):
+        if flag not in _INPUT_FLAGS and _same_file(path, other_path):
+            raise ConfigInvalidError(
+                f"argument --{flag.replace('_', '-')}: names the same file as --{other.replace('_', '-')}"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dealdesk",
@@ -106,12 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", parents=[common], help="takeover-frequency regression")
     p.add_argument("--data", required=True, help="role-tagged CSV (see docs)")
 
+    # a blank filter would keep every deal, and the report does not record it
+    country = _checked(str, lambda name: name.strip() != "", "a country name")
     p = sub.add_parser("waves", parents=[common], help="wave diagnostics over an ingested deal list")
     p.add_argument("--deals", required=True, help="deal-list CSV")
     p.add_argument("--bucketing", choices=("month", "quarter", "year"), default="month")
     p.add_argument("--measure", choices=("counts", "value"), default="counts")
-    p.add_argument("--target-country", dest="target_country", default=None)
-    p.add_argument("--bidder-country", dest="bidder_country", default=None)
+    p.add_argument("--target-country", dest="target_country", type=country, default=None)
+    p.add_argument("--bidder-country", dest="bidder_country", type=country, default=None)
     p.add_argument("--window", type=_count(1), default=3)
     p.add_argument("--max-lag", type=_count(1), default=6, dest="max_lag")
     p.add_argument("--degree", type=_count(1), default=3)
@@ -457,6 +481,7 @@ def main(argv=None) -> int:
     prints and raises ``SystemExit(0)``, as argparse does."""
     try:
         args = build_parser().parse_args(argv)
+        _check_distinct_files(args)
         payload, lines = _COMMANDS[args.command](args)
         if args.format == "json":
             inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}

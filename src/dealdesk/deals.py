@@ -44,8 +44,8 @@ _MONTHS = {
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 _MONTH_ABBREV = {v: k.capitalize() for k, v in _MONTHS.items()}
-# Announcement years a real deal list can hold. The bound keeps one
-# mistyped date from zero-filling millions of buckets in aggregate_deals.
+# Announcement years a real deal list, and so a DealRecord, can hold. The bound
+# keeps one mistyped date from zero-filling millions of buckets in aggregate_deals.
 YEAR_RANGE = (1900, 2100)
 
 
@@ -70,6 +70,9 @@ class DealRecord(_DealFields):
         year, month = self.announced
         if not 1 <= month <= 12:
             raise ValueError(f"announced month must be 1..12, got {month}")
+        lo, hi = YEAR_RANGE
+        if not lo <= year <= hi:
+            raise ValueError(f"announced year must be in {lo}..{hi}, got {year}")
         _check_amounts(self.stake_pct, self.value_usdm)
 
     @classmethod
@@ -94,17 +97,9 @@ class MalformedRow:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """``rows`` holds each clean row as a plain tuple in ``DealRecord`` field
-    order; ``records``, the same rows as ``DealRecord``s, built on first access."""
-
-    rows: tuple[tuple, ...]
+    records: tuple[DealRecord, ...]
     malformed: tuple[MalformedRow, ...] = ()
     warnings: tuple[str, ...] = ()
-
-    @functools.cached_property
-    def records(self) -> tuple[DealRecord, ...]:
-        # _parse_row ran DealRecord's checks, so they are not run again
-        return tuple(map(functools.partial(tuple.__new__, DealRecord), self.rows))
 
 
 def _parse_month_year(text: str) -> tuple[int, int]:
@@ -130,11 +125,14 @@ def _parse_number(text: str) -> float:
 
 def parse_deals(source) -> ParseResult:
     """Read a deal-list CSV: ``stream_deals`` read to the end, with every
-    clean row held in ``rows``."""
+    clean row held as a ``DealRecord``."""
     malformed: list[MalformedRow] = []
     warnings: list[str] = []
+    # the rows become records once the stream has ended and freed its
+    # duplicate keys; _parse_row ran DealRecord's checks, so they are not run again
     rows = tuple(stream_deals(source, malformed, warnings))
-    return ParseResult(rows=rows, malformed=tuple(malformed), warnings=tuple(warnings))
+    records = tuple(map(functools.partial(tuple.__new__, DealRecord), rows))
+    return ParseResult(records=records, malformed=tuple(malformed), warnings=tuple(warnings))
 
 
 def stream_deals(source, malformed: list, warnings: list) -> Iterator[tuple]:
@@ -272,7 +270,7 @@ def aggregate_deals(
     """Bucket deals into counts and value totals, zero-filling gaps.
 
     ``deals`` are ``DealRecord``s or rows in their field order, such as
-    ``ParseResult.rows`` or a ``stream_deals`` generator, read once, by
+    ``ParseResult.records`` or a ``stream_deals`` generator, read once, by
     position. ``predicate`` sees each as given. Each kept deal is folded
     into its bucket's count and total as it is read, so the call holds
     buckets, never a deal, and a streamed list is never held. Buckets run

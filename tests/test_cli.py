@@ -148,15 +148,37 @@ def test_missing_input_exits_2_with_diagnostic(capsys):
     (["simulate-wave", "--series-out", ""], "argument --series-out"),
     (["simulate-wave", "--plot-out", ""], "argument --plot-out"),
     (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", ""], "argument --series-out"),
+    # a destination must not name an input or another destination, however spelled
+    (["ingest", "--deals", "{tmp}/deals.csv", "--series-out", "{tmp}/deals.csv"],
+     "argument --series-out: names the same file as --deals"),
+    (["ingest", "--deals", "{tmp}/deals.csv", "--series-out", "{tmp}/./deals.csv"],
+     "argument --series-out: names the same file as --deals"),
+    (["ingest", "--deals", "{tmp}/deals.csv", "--series-out", "{tmp}/deals-link.csv"],
+     "argument --series-out: names the same file as --deals"),
+    (["ingest", "--deals", "{tmp}/deals.csv", "--series-out", "{tmp}/s.csv", "--output", "{tmp}/./s.csv"],
+     "argument --output: names the same file as --series-out"),
+    (["value", "--comps", str(DATA / "comps.csv"), "--target", "{tmp}/target.csv", "--ranges",
+      str(DATA / "ranges.ini"), "--output", "{tmp}/target.csv"], "argument --output: names the same file as --target"),
+    (["simulate-wave", "--series-out", "{tmp}/s.csv", "--output", "{tmp}/s.csv"],
+     "argument --output: names the same file as --series-out"),
+    (["simulate-wave", "--series-out", "{tmp}/s.csv", "--plot-out", "{tmp}/./s.csv"],
+     "argument --series-out: names the same file as --plot-out"),
 ], ids=["comps-dir", "deals-dir", "ranges-no-header", "ranges-duplicate-key",
         "output-missing-dir", "output-is-dir", "series-out-missing-dir", "plot-out-missing-dir",
         "ingest-series-out-missing-dir", "output-empty", "output-ends-in-separator", "series-out-empty",
-        "plot-out-empty", "ingest-series-out-empty"])
+        "plot-out-empty", "ingest-series-out-empty", "series-out-is-deals", "series-out-is-dot-deals",
+        "series-out-is-linked-deals", "ingest-output-is-series-out", "output-is-target",
+        "output-is-series-out", "series-out-is-plot-out"])
 def test_unusable_path_exits_2_with_one_diagnostic(args, names, tmp_path, capsys):
     (tmp_path / "no_header.ini").write_text("ltm_ebitda = 9.5..10.5\n")
     (tmp_path / "duplicate_key.ini").write_text("[trading]\nx = 1..2\nx = 3..4\n")
+    shutil.copy(DATA / "swiss_deals_2012.csv", tmp_path / "deals.csv")
+    os.link(tmp_path / "deals.csv", tmp_path / "deals-link.csv")
+    shutil.copy(DATA / "target.csv", tmp_path / "target.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before, "a refused call wrote a file"
     diagnostic = one_diagnostic(err)
     assert diagnostic["error"] == "ConfigInvalid"
     assert names in diagnostic["message"]
@@ -270,6 +292,10 @@ OVERFLOWING_DEALS = DEAL_HEADER + "Jan 2012,T,50,CH,B,DE,n/a,n/a,1e308\nJan 2012
 OVERFLOWING_RETURNS = "date,firm_return,market_return\n" + "".join(
     f"2005-01-{day:02d},{(1 + day % 5) * 1e300!r},{(1 + day % 3) * 1e300!r}\n" for day in range(1, 29)
 )
+# finite returns whose QR factor is not
+OVERFLOWING_QR_RETURNS = "date,firm_return,market_return\n" + "".join(
+    f"{np.datetime64('2005-01-03') + day},{(1 + day % 5) * 1e307!r},{(1 + day % 3) * 1e307!r}\n" for day in range(80)
+)
 REGRESSION_ROLES = ("# role response = y\n# role institutional = a\n# role sectoral = s\n"
                     "# role technological = t\n# role regime = r\n")
 OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" + "".join(
@@ -323,6 +349,8 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
      {"deals.csv": OVERFLOWING_DEALS}, "ValueError", "bucket 2012-01 overflows"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "20"],
      {"returns.csv": OVERFLOWING_RETURNS}, "ValueError", "fit_market_model overflows"),
+    (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "60"],
+     {"returns.csv": OVERFLOWING_QR_RETURNS}, "ValueError", "fit_market_model overflows the float range: "),
     (["regress", "--data", "{tmp}/regress.csv"],
      {"regress.csv": OVERFLOWING_REGRESSION}, "ValueError", "fit_takeover_regression overflows"),
     (["event-study", "--returns", "{tmp}/returns.csv", "--estimation-periods", "3"],
@@ -343,7 +371,8 @@ OVERFLOWING_REGRESSION = REGRESSION_ROLES + "# intercept = false\ny,a,s,t,r\n" +
 ], ids=["comps-without-name", "returns-without-market-return", "nan-target-metric",
         "inf-comp-multiple", "nan-firm-return", "short-returns-row", "overflowing-regressor",
         "returns-not-utf8", "oversized-cell", "overflowing-trend", "overflowing-analysis", "poisson-mean-too-large",
-        "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-regression",
+        "overflowing-ingest-total", "overflowing-waves-total", "overflowing-returns", "overflowing-qr-returns",
+        "overflowing-regression",
         "swapped-dates", "noiseless-line", "regime-cell-2", "regress-oversized-cell", "comps-unknown-kind"])
 def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_path, capsys):
     for name, text in files.items():
@@ -381,11 +410,16 @@ def test_bad_input_exits_1_with_one_diagnostic(args, files, error, named, tmp_pa
     (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--sector", "XYZ"], "unrecognized arguments: --sector"),
     (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/s.csv", "--sector", "XYZ"],
      "unrecognized arguments: --sector"),
+    # a blank country filter would keep every deal
+    (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--target-country", ""],
+     "argument --target-country: expected a country name, got ''"),
+    (["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--bidder-country", " "],
+     "argument --bidder-country: expected a country name, got ' '"),
 ], ids=["format-xml", "unknown-subcommand", "missing-required", "window-abc", "length-1", "length-fullwidth",
         "sigma-underscore", "event-index-arabic-indic", "seed-negative",
         "sigma-nan", "sigma-inf", "weights-inf", "params-nan", "plot-out-missing-dir",
         "event-index-negative", "event-index-in-estimation", "event-index-past-end", "waves-sector",
-        "ingest-sector"])
+        "ingest-sector", "target-country-empty", "bidder-country-blank"])
 def test_bad_argument_exits_2_with_one_diagnostic(args, names, returns_csv, tmp_path, capsys):
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 """Deal-list parsing, serialization round trip, and bucketing."""
 import csv
+import dataclasses
 import io
 import json
 import pathlib
@@ -18,7 +19,9 @@ from dealdesk import (
     parse_deals,
     save_count_series,
     serialize_deals,
+    stream_deals,
 )
+from dealdesk import deals
 from dealdesk.cli import _deal_series, build_parser, main
 from dealdesk.deals import _ABSENT, YEAR_RANGE, _parse_month_year, _parse_number
 
@@ -121,7 +124,7 @@ def test_duplicate_key_tells_apart_rows_a_nul_splits_differently(tmp_path):
         path.write_text(HEADER + "".join(rows), encoding="utf-8")
         want = [f"row {n}: exact duplicate of an earlier row, kept" for n in warned]
         result = parse_deals(path)
-        assert list(result.warnings) == want and len(result.rows) == len(rows)
+        assert list(result.warnings) == want and len(result.records) == len(rows)
         block, _ = _deal_series(build_parser().parse_args(["waves", "--deals", str(path)]))
         assert block["warnings"] == want and block["records"] == len(rows)
 
@@ -146,6 +149,8 @@ def test_record_validation():
 
 BAD_FIELDS = [
     ("announced", (2012, 13), "announced month must be 1..12, got 13"),
+    ("announced", (1899, 1), r"announced year must be in 1900\.\.2100, got 1899"),
+    ("announced", (2101, 12), r"announced year must be in 1900\.\.2100, got 2101"),
     ("stake_pct", 0.0, r"stake_pct must be in \(0, 1\], got 0.0"),
     ("value_usdm", -1.0, "value_usdm must be positive when present, got -1.0"),
 ]
@@ -420,32 +425,31 @@ def test_absent_set_is_every_casing_of_the_absent_tokens():
             assert not set(cell.lower()) & set("na/-"), hex(point)
 
 
-# --- parsed rows and lazily built records ----------------------------------------
+# --- parsed records and streamed rows ----------------------------------------------
 
 @pytest.fixture
-def records_reads(monkeypatch):
-    """Every ParseResult whose records are read while the test runs."""
-    reads = []
-    build = ParseResult.records.func
-    monkeypatch.setattr(ParseResult, "records", property(lambda self: (reads.append(self), build(self))[1]))
-    return reads
+def parse_calls(monkeypatch):
+    """Every source passed to deals.parse_deals, the one bulk builder of
+    DealRecords, while the test runs."""
+    calls = []
+    parse = deals.parse_deals
+    monkeypatch.setattr(deals, "parse_deals", lambda source: (calls.append(source), parse(source))[1])
+    return calls
 
 
-def test_records_are_built_once_on_first_access():
+def test_each_clean_deal_is_held_once_as_a_deal_record():
     text = generated_deal_list(500, seed=5)
     result = parse_text(text)
-    assert "records" not in vars(result)  # parsing builds no DealRecord
-    records = result.records
-    assert result.records is records and vars(result)["records"] is records
-    assert list(records) == reference_parse(text)[0]
-    assert records == result.rows
-    assert {type(r) for r in records} == {DealRecord} and {type(r) for r in result.rows} == {tuple}
+    assert [f.name for f in dataclasses.fields(ParseResult)] == ["records", "malformed", "warnings"]
+    assert list(result.records) == reference_parse(text)[0]
+    assert {type(r) for r in result.records} == {DealRecord}
 
 
 @pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
-def test_rows_and_records_bucket_alike(bucketing):
-    result = parse_text(generated_deal_list(2000, seed=7))
-    assert aggregate_deals(result.rows, bucketing) == aggregate_deals(result.records, bucketing)
+def test_stream_rows_and_records_bucket_alike(bucketing):
+    text = generated_deal_list(2000, seed=7)
+    streamed = aggregate_deals(stream_deals(io.StringIO(text), [], []), bucketing)
+    assert streamed == aggregate_deals(parse_text(text).records, bucketing)
 
 
 def deal_list_files(tmp_path):
@@ -458,17 +462,17 @@ def deal_list_files(tmp_path):
 
 def reference_deal_series(path, bucketing, measure, target=None, bidder=None):
     """The deal block and series of a waves call, built from parse_deals'
-    rows, held whole and filtered in a list comprehension: the reference
+    records, held whole and filtered in a list comprehension: the reference
     the streamed CLI path must match."""
     result = parse_deals(path)
-    t, b = DealRecord._fields.index("target_country"), DealRecord._fields.index("bidder_country")
-    kept = [row for row in result.rows if (not target or row[t] == target) and (not bidder or row[b] == bidder)]
+    kept = [r for r in result.records
+            if (not target or r.target_country == target) and (not bidder or r.bidder_country == bidder)]
     series = aggregate_deals(kept, bucketing)
     measured = series.counts if measure == "counts" else series.total_value
     block = {
         "bucketing": bucketing,
         "measure": measure,
-        "records": len(result.rows),
+        "records": len(result.records),
         "malformed": [{"row_number": m.row_number, "reason": m.reason} for m in result.malformed],
         "warnings": list(result.warnings),
         "value_exclusions": series.value_exclusions,
@@ -480,7 +484,7 @@ def reference_deal_series(path, bucketing, measure, target=None, bidder=None):
 @pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
 @pytest.mark.parametrize("countries", [(0, None), (None, 1), (0, 1), ("Atlantis", None), (0, "Atlantis"),
                                        (None, None)])
-def test_waves_country_filters_match_aggregate_deals(tmp_path, records_reads, capsys, bucketing, countries):
+def test_waves_country_filters_match_aggregate_deals(tmp_path, parse_calls, capsys, bucketing, countries):
     for name, (path, *known) in deal_list_files(tmp_path).items():
         # an index picks a country the list holds; a name is one it does not
         target, bidder = (known[c] if isinstance(c, int) else c for c in countries)
@@ -498,7 +502,7 @@ def test_waves_country_filters_match_aggregate_deals(tmp_path, records_reads, ca
             assert block == want_block, name
             assert measured.timestamps == want.timestamps, name
             assert measured.values.tolist() == want.values.tolist(), name
-        assert records_reads == [], name  # neither the CLI nor the reference builds DealRecords
+        assert parse_calls == [], name  # the CLI builds no DealRecord
 
 
 @pytest.mark.parametrize("bucketing", ["month", "quarter", "year"])
@@ -538,7 +542,7 @@ def test_the_deal_path_holds_buckets_not_rows(tmp_path, command):
     lines = text.splitlines()[1:]
     clean = {n for n, _ in enumerate(lines, start=2)} - {m.row_number for m in result.malformed}
     distinct_lines = {lines[n - 2] for n in clean}
-    assert len(distinct_lines) == len(result.rows) - len(result.warnings)
+    assert len(distinct_lines) == len(result.records) - len(result.warnings)
     _deal_series(args)  # a first call loads and caches what any call needs
     tracemalloc.start()
     try:
@@ -552,7 +556,7 @@ def test_the_deal_path_holds_buckets_not_rows(tmp_path, command):
         + 2048 * len(result.malformed)
         + sum(sys.getsizeof(line) + 128 for line in distinct_lines)
     )
-    assert block["records"] == len(result.rows)
+    assert block["records"] == len(result.records)
     assert peak < bound, (peak, bound)
 
 

@@ -574,6 +574,15 @@ def test_rms_by_degree_refuses_what_fit_polynomial_refuses():
     assert rms_by_degree(s, []) == {}
 
 
+@pytest.mark.parametrize("step, args", [(fit_polynomial, (3,)), (rms_by_degree, ()), (dominant_period, ())],
+                         ids=["fit_polynomial", "rms_by_degree", "dominant_period"])
+def test_an_overflowing_qr_factor_names_its_step(step, args):
+    # finite values whose QR factor is not; LAPACK raises no float flag
+    s = _series([(1 + i % 5) * 1e307 for i in range(100)])
+    with pytest.raises(ValueError, match=f"^{step.__name__} overflows the float range: "):
+        step(s, *args)
+
+
 def test_degree_twelve_on_long_series_is_accepted():
     rng = np.random.default_rng(211)
     x = rng.normal(10, 1, 300)
