@@ -95,27 +95,47 @@ _ROWS_PER_WRITE = 1 << 12
 
 def write_rows(dest, header, columns) -> None:
     """Write the ``header`` row, then the rows of the equal-length ``columns``,
-    as CSV with LF endings to a path (atomically) or an open stream: the one
-    place a cell turns into text. A ``str`` is written as it is, a number as
+    as CSV with LF endings to a path (atomically) or an open stream: the
+    one-table call of ``write_tables``."""
+    columns = list(columns)
+    write_tables([(dest, header, range(len(columns)))], columns)
+
+
+def write_tables(tables, columns) -> None:
+    """Write each table ``(dest, header, indices)``: its ``header`` row, then
+    the rows of the equal-length ``columns`` at ``indices``, as CSV with LF
+    endings to a path (atomically) or an open stream. This is the one place
+    a cell turns into text. A ``str`` is written as it is, a number as
     ``str`` gives it (``repr`` for a float) and ``None`` blank; a cell holding
     a comma, a quote, CR or LF is quoted, and a row of one empty cell is
     ``""``, as ``csv.QUOTE_MINIMAL`` writes them. A cell holding NUL raises
-    ``ValueError`` before Python 3.11, as csv refuses it there. Each column
-    is turned into text once, and each block of rows is written at once."""
+    ``ValueError`` before Python 3.11, as csv refuses it there.
+
+    One pass runs over blocks of rows: each block of a column is turned into
+    text once, whichever tables read it, and each table's block is written
+    at once. Every row of every table is written before any destination is
+    renamed into place, so a failure while writing leaves them all as they
+    were."""
     columns = list(columns)
     length = len(columns[0]) if columns else 0
     if any(len(column) != length for column in columns):
         raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
-    with open_text(dest, "w") as stream:
-        stream.write(_csv_text([[cell] for cell in header], 1))
+    read = sorted({i for _, _, indices in tables for i in indices})
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(open_text(dest, "w")) for dest, _, _ in tables]
+        for stream, (_, header, _) in zip(streams, tables):
+            stream.write(_csv_text([[text] for text in _cell_texts(header)], 1))
         for start in range(0, length, _ROWS_PER_WRITE):
-            block = [column[start:start + _ROWS_PER_WRITE] for column in columns]
-            stream.write(_csv_text(block, len(block[0])))
+            texts = {i: _cell_texts(columns[i][start:start + _ROWS_PER_WRITE]) for i in read}
+            rows = min(length - start, _ROWS_PER_WRITE)
+            for stream, (_, _, indices) in zip(streams, tables):
+                stream.write(_csv_text([texts[i] for i in indices], rows))
+            del texts  # so one block's text is held at a time, not two
 
 
-def _csv_text(columns, rows: int) -> str:
-    """The CSV text of ``rows`` rows read across ``columns``, each row ending in LF."""
-    texts = list(map(_cell_texts, columns))
+def _csv_text(texts, rows: int) -> str:
+    """The CSV text of ``rows`` rows read across the columns' cell ``texts``,
+    each row ending in LF."""
     text = "\n".join(map(",".join, zip(*texts))) + "\n"
     # no cell needs quotes if the text holds no quote or CR, and only the
     # commas and LFs that the block's shape puts there

@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import report
-from ._files import parse_integer, parse_number
+from ._files import parse_integer, parse_number, write_tables
 from .errors import ConfigInvalidError, DealdeskError
 
 if TYPE_CHECKING:
@@ -65,8 +65,10 @@ def _numbers(text: str) -> tuple[float, ...]:
 
 
 def _is_destination(path: str) -> bool:
-    # "" and a path ending in a separator name no file
-    return (os.path.basename(path) != "" and not os.path.isdir(path)
+    # "" and a path ending in a separator name no file; a path that exists
+    # must be a regular file once links are followed, as the write renames
+    # a new file over it, which would replace a FIFO or a device
+    return (os.path.basename(path) != "" and (os.path.isfile(path) or not os.path.exists(path))
             and os.path.isdir(os.path.dirname(os.path.abspath(path))))
 
 
@@ -128,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", parents=[common], help="takeover-frequency regression")
     p.add_argument("--data", required=True, help="role-tagged CSV (see docs)")
 
-    # a blank filter would keep every deal, and the report does not record it
-    country = _checked(str, lambda name: name.strip() != "", "a country name")
+    # the parser strips every cell, so a filter is stripped too; a blank one
+    # would keep every deal, and the report does not record it
+    country = _checked(str.strip, lambda name: name != "", "a country name")
     p = sub.add_parser("waves", parents=[common], help="wave diagnostics over an ingested deal list")
     p.add_argument("--deals", required=True, help="deal-list CSV")
     p.add_argument("--bucketing", choices=("month", "quarter", "year"), default="month")
@@ -398,12 +401,18 @@ def _run_simulate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     series = waves.generate_series(model, args.length, clamp_at_zero=not args.no_clamp)
     blocks, diagnostic_lines, d = _analysis(series, args)
 
-    # every value is computed before the first file is written
-    plot = waves.plot_data_rows(series, d.smoothed, d.polynomial_fit) if args.plot_out else None
-    if args.series_out:
-        waves.save_count_series(series, args.series_out)
+    # One pass writes whichever files were asked for, after every value is
+    # computed. The series file reads the plot's first two columns, period
+    # and raw, so each of those is turned into text once.
+    tables, columns = [], []
     if args.plot_out:
-        report.write_rows_atomic(args.plot_out, *plot)
+        header, columns = waves.plot_data_rows(series, d.smoothed, d.polynomial_fit)
+        tables.append((args.plot_out, header, range(len(header))))
+    elif args.series_out:
+        columns = [series.timestamps, series.values.tolist()]
+    if args.series_out:
+        tables.append((args.series_out, ("period", "value"), (0, 1)))
+    write_tables(tables, columns)
 
     payload = {
         "kind": "simulation",

@@ -189,7 +189,12 @@ def generate_series(model: TrendModel, length: int, clamp_at_zero: bool = True) 
     del trend
     if clamp_at_zero:
         np.maximum(values, 0.0, out=values)
-    return CountSeries(timestamps=_PeriodLabels(range(1, length + 1)), values=values)
+    try:
+        return CountSeries(timestamps=_PeriodLabels(range(1, length + 1)), values=values)
+    except ValueError:
+        # rng.normal raises no float flag, and the trend is finite, so only a
+        # gaussian draw can be out of range; float_checked names this step
+        raise FloatingPointError("overflow encountered in a gaussian draw") from None
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -527,7 +532,9 @@ def save_count_series(s: CountSeries, dest) -> None:
 def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> tuple[tuple, list]:
     """The header and columns (period, raw, smoothed, poly_fit) for external
     plotting, as ``report.write_rows_atomic`` takes them. Smoothed and fitted
-    cells are ``None`` (written blank) before the first full window."""
+    cells are ``None`` (written blank) before the first full window. The
+    first two columns are the raw series' own, so ``simulate-wave`` writes its
+    series file from them in the same pass, turning each into text once."""
     fitted = poly(np.arange(1, len(smoothed) + 1, dtype=float)).tolist()
     pad = [None] * (len(raw) - len(smoothed))
     columns = [raw.timestamps, raw.values.tolist(), pad + smoothed.values.tolist(), pad + fitted]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dealdesk import report, waves
+from dealdesk._files import _ROWS_PER_WRITE
 from dealdesk.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -163,22 +164,35 @@ def test_missing_input_exits_2_with_diagnostic(capsys):
      "argument --output: names the same file as --series-out"),
     (["simulate-wave", "--series-out", "{tmp}/s.csv", "--plot-out", "{tmp}/./s.csv"],
      "argument --series-out: names the same file as --plot-out"),
+    # a destination that exists must be a regular file: the write would replace a FIFO
+    (["simulate-wave", "--length", "50", "--series-out", "{tmp}/fifo"], "argument --series-out"),
+    (["simulate-wave", "--length", "50", "--plot-out", "{tmp}/fifo-link"], "argument --plot-out"),
+    (VALUE_ARGS + ["--output", "{tmp}/fifo"], "argument --output"),
 ], ids=["comps-dir", "deals-dir", "ranges-no-header", "ranges-duplicate-key",
         "output-missing-dir", "output-is-dir", "series-out-missing-dir", "plot-out-missing-dir",
         "ingest-series-out-missing-dir", "output-empty", "output-ends-in-separator", "series-out-empty",
         "plot-out-empty", "ingest-series-out-empty", "series-out-is-deals", "series-out-is-dot-deals",
         "series-out-is-linked-deals", "ingest-output-is-series-out", "output-is-target",
-        "output-is-series-out", "series-out-is-plot-out"])
+        "output-is-series-out", "series-out-is-plot-out", "series-out-is-fifo", "plot-out-links-to-fifo",
+        "output-is-fifo"])
 def test_unusable_path_exits_2_with_one_diagnostic(args, names, tmp_path, capsys):
     (tmp_path / "no_header.ini").write_text("ltm_ebitda = 9.5..10.5\n")
     (tmp_path / "duplicate_key.ini").write_text("[trading]\nx = 1..2\nx = 3..4\n")
     shutil.copy(DATA / "swiss_deals_2012.csv", tmp_path / "deals.csv")
     os.link(tmp_path / "deals.csv", tmp_path / "deals-link.csv")
     shutil.copy(DATA / "target.csv", tmp_path / "target.csv")
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    os.mkfifo(tmp_path / "fifo")
+    os.symlink("fifo", tmp_path / "fifo-link")
+
+    def entries():  # each entry's type, and a regular file's bytes: a FIFO is never opened
+        return {path.name: (stat.S_IFMT(path.lstat().st_mode), path.is_file() and path.read_bytes())
+                for path in tmp_path.iterdir()}
+
+    before = entries()
     code, out, err = run_main([a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2 and out == ""
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before, "a refused call wrote a file"
+    assert entries() == before, "a refused call wrote a file"
+    assert stat.S_ISFIFO((tmp_path / "fifo").lstat().st_mode)
     diagnostic = one_diagnostic(err)
     assert diagnostic["error"] == "ConfigInvalid"
     assert names in diagnostic["message"]
@@ -562,6 +576,15 @@ def test_waves_country_filter_can_empty_the_set(capsys):
     assert json.loads(err)["error"] == "EmptyAfterFilter"
 
 
+@pytest.mark.parametrize("flag", ["--target-country", "--bidder-country"])
+def test_a_country_filter_is_stripped_as_the_cells_are(flag, capsys):
+    args = ["waves", "--deals", str(DATA / "swiss_deals_2012.csv"), "--window", "3", "--max-lag", "4",
+            "--degree", "2", flag]
+    code, out, err = run_main(args + ["Switzerland"], capsys)
+    assert code == 0, err
+    assert run_main(args + [" Switzerland "], capsys) == (0, out, "")
+
+
 def test_ingest_writes_series(tmp_path, capsys):
     series_out = tmp_path / "series.csv"
     payload = run_json(
@@ -657,6 +680,37 @@ def test_simulate_wave_series_and_plot_files(tmp_path, capsys):
     assert payload["diagnostics"]["window"] == 6
 
 
+@pytest.mark.parametrize("length", [64, 10_000])
+def test_series_and_plot_files_written_together_match_those_written_alone(length, tmp_path, capsys):
+    assert length <= _ROWS_PER_WRITE or 2 * _ROWS_PER_WRITE < length <= 3 * _ROWS_PER_WRITE  # 1 or 3 blocks
+    args = ["simulate-wave", "--length", str(length), "--seed", "4", "--window", "6"]
+    runs = {}
+    for names in (("series",), ("plot",), ("series", "plot")):
+        out = tmp_path / "-".join(names)
+        out.mkdir()
+        code, stdout, err = run_main([*args, *(a for name in names for a in (f"--{name}-out", f"{out}/{name}.csv"))],
+                                     capsys)
+        assert code == 0, err
+        runs[names] = stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+    (stdout, series), (_, plot), both = runs[("series",)], runs[("plot",)], runs[("series", "plot")]
+    assert both == (stdout, {**series, **plot})
+
+
+def test_series_and_plot_files_turn_each_block_of_a_column_into_text_once(tmp_path, monkeypatch, capsys):
+    # period, raw, smoothed and poly_fit, once per block, not period and raw once per file
+    from dealdesk import _files
+    sizes = []
+
+    def counted(cells, _cell_texts=_files._cell_texts):
+        sizes.append(len(cells))
+        return _cell_texts(cells)
+
+    monkeypatch.setattr(_files, "_cell_texts", counted)
+    run_json(["simulate-wave", "--length", str(3 * _ROWS_PER_WRITE), "--series-out", str(tmp_path / "series.csv"),
+              "--plot-out", str(tmp_path / "plot.csv")], capsys)
+    assert sizes.count(_ROWS_PER_WRITE) == 4 * 3
+
+
 @pytest.mark.parametrize("args,written", [
     (["simulate-wave", "--length", "64", "--plot-out", "{tmp}/plot.csv"], ["plot.csv", "report.json", "series.csv"]),
     (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv")], ["report.json", "series.csv"]),
@@ -750,9 +804,12 @@ def test_wave_report_rms_error_is_its_table_entry(args, degree, capsys):
     (["simulate-wave", "--trend", "ideal", "--params", "1e308", "--sigma", "0", "--window", "3",
       "--length", "100"], {},
      ("ValueError", "moving_average overflows the float range: overflow encountered in a window sum")),
+    # rng.normal returns inf with no float flag: the generation step is named all the same
+    (["simulate-wave", "--sigma", "1e308", "--length", "100"], {},
+     ("ValueError", "generate_series overflows the float range: overflow encountered in a gaussian draw")),
 ], ids=["line-degree-13", "degree-13", "smoothed-7", "degree-at-length", "overflowing-periodogram",
         "overflowing-split-periodogram", "overflowing-exponential", "overflowing-quadratic",
-        "overflowing-deal-series", "overflowing-window-sum"])
+        "overflowing-deal-series", "overflowing-window-sum", "overflowing-gaussian-draw"])
 def test_wave_diagnostics_keep_their_order(args, files, diagnostic, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -32,7 +32,7 @@ from dealdesk import (
     save_count_series,
     serialize_deals,
 )
-from dealdesk._files import _ROWS_PER_WRITE, open_text, parse_integer, parse_number, write_rows
+from dealdesk._files import _ROWS_PER_WRITE, open_text, parse_integer, parse_number, write_rows, write_tables
 from dealdesk.deals import REQUIRED_COLUMNS
 from dealdesk.report import write_atomic, write_rows_atomic
 
@@ -72,15 +72,16 @@ WRITERS = {
 
 class Interrupting:
     """A cell whose text cannot be made, placed after the first block of
-    rows: its ``str`` checks that the temp file beside ``dest`` already
-    holds that block, then raises."""
+    rows: its ``str`` checks that the ``temps`` temp files beside ``dest``
+    already hold that block, then raises."""
 
-    def __init__(self, dest):
+    def __init__(self, dest, temps=1):
         self.dest = dest
+        self.temps = temps
 
     def __str__(self):
         temps = [p for p in self.dest.parent.iterdir() if p.name.startswith(".tmp-")]
-        assert [p.stat().st_size > 0 for p in temps] == [True]
+        assert [p.stat().st_size > 0 for p in temps] == [True] * self.temps
         raise RuntimeError("interrupted")
 
 
@@ -117,6 +118,25 @@ def test_failed_write_leaves_the_destination_as_it_was(name, tmp_path):
         FAILING_WRITERS[name](dest)
     assert dest.read_bytes() == b"earlier,bytes\r\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("how", ["cell", "directory"])
+def test_a_write_failing_in_its_second_table_replaces_neither(how, tmp_path):
+    # the second table reads a column the first does not, and fails after
+    # both temp files hold the first block, or cannot be renamed over its
+    # destination, a directory
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_bytes(b"earlier,bytes\r\n")
+    if how == "cell":
+        second.write_bytes(b"earlier,bytes\r\n")
+    else:
+        second.mkdir()
+    before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+    last = Interrupting(second, temps=2) if how == "cell" else "2"
+    columns = [["first-table"] * (_ROWS_PER_WRITE + 1), ["2"] * _ROWS_PER_WRITE + [last]]
+    with pytest.raises(RuntimeError if how == "cell" else ConfigInvalidError):
+        write_tables([(first, ["a"], [0]), (second, ["a", "b"], [0, 1])], columns)
+    assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_writers_stream_lf_rows_to_open_streams_too():
