@@ -1,13 +1,15 @@
-"""The one way every loader and writer opens its source or destination,
-the one CSV row loop every loader reads through (``csv_rows``, which
-checks the header and numbers the rows), the one CSV writer, the one way
-a loader names a bad row, and the one way a cell is read as text or as a
-date, and a cell or a flag as a number (``parse_number`` and
-``parse_integer``, which share one grammar)."""
+"""The one way every loader and writer opens its source or destination (an
+input once, hashed inside a ``digests`` block), the one CSV row loop every
+loader reads through (``csv_rows``, which checks the header and numbers the
+rows), the one CSV writer, the one way a loader names a bad row, and the one
+way a cell is read as text or as a date, and a cell or a flag as a number
+(``parse_number`` and ``parse_integer``, which share one grammar)."""
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import io
 import math
 import os
 import sys
@@ -50,21 +52,64 @@ def _passing(stream):
 
 
 @contextlib.contextmanager
-def _reading(source):
+def digests():
+    """Yield a dict mapping each path read in the block, as ``os.fsdecode`` names it, to the
+    SHA-256 of all the input's bytes, hashed as they are read and the rest at its close."""
+    outer, _Input.block = _Input.block, {}
     try:
-        stream = open(source, newline="", encoding="utf-8-sig")
+        yield _Input.block
+    finally:
+        _Input.block = outer
+
+
+class _Input(io.FileIO):
+    """An input's raw bytes, hashed as they are read for the open ``digests`` block."""
+
+    block: Optional[dict] = None  # the open digests block's record
+    read = io.RawIOBase.read  # through readinto, which FileIO's own read and readall skip
+    readall = io.RawIOBase.readall
+
+    def __init__(self, source):
+        self._record, self._hash = self.block, hashlib.sha256()
+        super().__init__(source)
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        self._hash.update(buffer[:count])
+        return count
+
+    def close(self):
+        try:
+            if not self.closed:
+                while self.read(1 << 16):
+                    pass
+                self._record[os.fsdecode(self.name)] = self._hash.hexdigest()
+        finally:
+            super().close()
+
+
+@contextlib.contextmanager
+def _reading(source):
+    try:  # a plain FileIO keeps the text and buffer layers' fast checks
+        raw = (io.FileIO if _Input.block is None else _Input)(source)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot open {os.fsdecode(source)}: {exc.strerror}") from exc
-    with stream:
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="") as stream:
         try:
             yield stream
         except UnicodeDecodeError as exc:
             # exc.start counts from the start of the bytes the decoder was
-            # handed, which end where the binary buffer now stands
-            offset = stream.buffer.tell() - len(exc.object) + exc.start
-            raise ValueError(f"{os.fsdecode(source)}: not UTF-8 text at byte {offset}: {exc.reason}") from exc
+            # handed, which end where the binary buffer now stands; a FIFO or a pipe cannot tell it
+            at = f" at byte {stream.buffer.tell() - len(exc.object) + exc.start}" if stream.seekable() else ""
+            raise ValueError(f"{os.fsdecode(source)}: not UTF-8 text{at}: {exc.reason}") from exc
         except csv.Error as exc:  # not a ValueError
             raise ValueError(f"{os.fsdecode(source)}: {exc}") from exc
+
+
+def is_special_file(path) -> bool:
+    """Whether ``path`` exists and is not a regular file once links are followed (a directory,
+    a FIFO, a device): a write renames a new file over its destination, which would replace it."""
+    return os.path.exists(path) and not os.path.isfile(path)
 
 
 @contextlib.contextmanager
@@ -73,6 +118,8 @@ def _replacing(dest):
     it on a clean exit and deleted on any exception, so ``dest`` is never
     torn. ``open()`` makes it, so it gets the mode the umask gives."""
     name = os.fsdecode(dest)
+    if is_special_file(name):
+        raise ConfigInvalidError(f"cannot write {name}: not a regular file")
     tmp = os.path.join(os.path.dirname(os.path.abspath(name)), f".tmp-{os.urandom(8).hex()}")
     try:
         stream = open(tmp, "x", newline="", encoding="utf-8")

@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import report
-from ._files import parse_integer, parse_number, write_tables
+from ._files import digests, is_special_file, parse_integer, parse_number, write_tables
 from .errors import ConfigInvalidError, DealdeskError
 
 if TYPE_CHECKING:
@@ -65,10 +65,8 @@ def _numbers(text: str) -> tuple[float, ...]:
 
 
 def _is_destination(path: str) -> bool:
-    # "" and a path ending in a separator name no file; a path that exists
-    # must be a regular file once links are followed, as the write renames
-    # a new file over it, which would replace a FIFO or a device
-    return (os.path.basename(path) != "" and (os.path.isfile(path) or not os.path.exists(path))
+    # "" and a path ending in a separator name no file
+    return (os.path.basename(path) != "" and not is_special_file(path)
             and os.path.isdir(os.path.dirname(os.path.abspath(path))))
 
 
@@ -87,8 +85,7 @@ def _same_file(a: str, b: str) -> bool:
 
 def _check_distinct_files(args: argparse.Namespace) -> None:
     """Refuse a destination that names the same file as another destination
-    or an input: one write would replace the other, or the input before its
-    digest is taken."""
+    or an input: one write would replace the other, or the input."""
     named = [(flag, getattr(args, flag)) for flag in ("output", "series_out", "plot_out", *_INPUT_FLAGS)
              if getattr(args, flag, None)]
     # destinations come first, so a pair holding one has it on the left
@@ -491,9 +488,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_distinct_files(args)
-        payload, lines = _COMMANDS[args.command](args)
+        with digests() if args.format == "json" else contextlib.nullcontext() as read:
+            payload, lines = _COMMANDS[args.command](args)
         if args.format == "json":
-            inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
+            inputs = {name: read[getattr(args, name)] for name in _INPUT_FLAGS if hasattr(args, name)}
             payload["provenance"] = report.provenance(inputs, seed=getattr(args, "seed", None))
             rendered = report.canonical_json(payload)
         else:

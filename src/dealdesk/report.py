@@ -12,15 +12,12 @@ reference tables this toolkit reproduces:
 """
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from ._files import open_text, write_rows
-from .errors import ConfigInvalidError
 
 if TYPE_CHECKING:  # every command imports report; only value needs comps
     from .comps import ValuationSummary
@@ -119,28 +116,10 @@ def valuation_payload(summary: ValuationSummary, target_name: str = "Target") ->
     }
 
 
-def file_digest(path) -> str:
-    """SHA-256 of the file at ``path``; one that cannot be read, such as an
-    input removed since it was parsed, raises ``ConfigInvalidError``."""
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(65536), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot open {os.fsdecode(path)}: {exc.strerror}") from exc
-    return h.hexdigest()
-
-
-def provenance(inputs: Mapping[str, str], seed: Optional[int] = None) -> dict:
-    """Input digests plus run parameters; no timestamps, so reruns match."""
-    block = {
-        "version": __version__,
-        "inputs": {name: file_digest(path) for name, path in sorted(inputs.items())},
-    }
-    if seed is not None:
-        block["seed"] = seed
-    return block
+def provenance(digests: Mapping[str, str], seed: Optional[int] = None) -> dict:
+    """Input digests, by name, plus run parameters; no timestamps, so reruns match."""
+    seeded = {} if seed is None else {"seed": seed}
+    return {"version": __version__, "inputs": dict(sorted(digests.items())), **seeded}
 
 
 def canonical_json(payload: Mapping) -> str:

@@ -531,7 +531,7 @@ def save_count_series(s: CountSeries, dest) -> None:
 @float_checked
 def plot_data_rows(raw: CountSeries, smoothed: CountSeries, poly: PolynomialFit) -> tuple[tuple, list]:
     """The header and columns (period, raw, smoothed, poly_fit) for external
-    plotting, as ``report.write_rows_atomic`` takes them. Smoothed and fitted
+    plotting, as ``_files.write_tables`` takes them. Smoothed and fitted
     cells are ``None`` (written blank) before the first full window. The
     first two columns are the raw series' own, so ``simulate-wave`` writes its
     series file from them in the same pass, turning each into text once."""

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: exit codes, diagnostics, determinism,
 schema conformance of every report kind."""
+import contextlib
 import errno
+import hashlib
 import json
 import os
 import pathlib
@@ -8,13 +10,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 import time
 
 import jsonschema
 import numpy as np
 import pytest
 
-from dealdesk import report, waves
+from dealdesk import _files, cli, waves
 from dealdesk._files import _ROWS_PER_WRITE
 from dealdesk.cli import main
 
@@ -227,29 +230,47 @@ def test_report_write_failing_after_the_computation_exits_2(how, fmt, tmp_path, 
     assert [p.name for p in tmp_path.rglob("*")] == ([] if how == "directory-removed" else ["out"])
 
 
-def test_input_gone_before_its_digest_exits_2(tmp_path, monkeypatch, capsys):
+def test_input_replaced_after_it_is_parsed_keeps_the_digest_of_the_bytes_read(tmp_path, monkeypatch, capsys):
     from dealdesk import comps
 
     paths = {name: tmp_path / name for name in ("comps.csv", "target.csv", "ranges.ini")}
     for name, path in paths.items():
         path.write_bytes((DATA / name).read_bytes())
+    parsed = paths["comps.csv"].read_bytes()
     run_valuation = comps.run_valuation
 
-    def computed_then_deleted(*args, **kwargs):  # the inputs were read while computing
+    def computed_then_replaced(*args, **kwargs):  # the inputs were read while computing
         summary = run_valuation(*args, **kwargs)
         paths["comps.csv"].unlink()
+        paths["comps.csv"].write_bytes(b"name,kind\n")
         return summary
 
-    monkeypatch.setattr(comps, "run_valuation", computed_then_deleted)
-    code, out, err = run_main(["value", "--comps", str(paths["comps.csv"]), "--target", str(paths["target.csv"]),
-                               "--ranges", str(paths["ranges.ini"]), "--format", "json"], capsys)
-    assert code == 2 and out == ""
-    diagnostic = one_diagnostic(err)
-    assert diagnostic["error"] == "ConfigInvalid"
-    assert diagnostic["message"] == f"cannot open {paths['comps.csv']}: No such file or directory"
+    monkeypatch.setattr(comps, "run_valuation", computed_then_replaced)
+    payload = run_json(["value", "--comps", str(paths["comps.csv"]), "--target", str(paths["target.csv"]),
+                        "--ranges", str(paths["ranges.ini"]), "--format", "json"], capsys)
+    assert payload["provenance"]["inputs"]["comps"] == hashlib.sha256(parsed).hexdigest()
 
 
-@pytest.mark.parametrize("args,inputs", [
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_fifo_input_is_read_once_and_digested(tmp_path):
+    # a second open of the FIFO would wait for a writer that never comes
+    data = (DATA / "swiss_deals_2012.csv").read_bytes()
+    fifo = tmp_path / "deals.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    result = subprocess.run(
+        [sys.executable, "-m", "dealdesk.cli", "waves", "--deals", str(fifo), "--window", "3", "--max-lag", "4",
+         "--degree", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    writer.join(timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["provenance"]["inputs"]["deals"] == hashlib.sha256(data).hexdigest()
+
+
+# Each subcommand, with the number of input files it reads.
+COMMAND_INPUTS = pytest.mark.parametrize("args,inputs", [
     (VALUE_ARGS, 3),
     (["event-study", "--returns", "{tmp}/returns.csv"], 1),
     (["regress", "--data", "{tmp}/regress.csv"], 1),
@@ -258,15 +279,51 @@ def test_input_gone_before_its_digest_exits_2(tmp_path, monkeypatch, capsys):
     (["ingest", "--deals", str(DATA / "swiss_deals_2012.csv"), "--series-out", "{tmp}/series.csv"], 1),
     (["simulate-wave", "--length", "64"], 0),
 ], ids=["value", "event-study", "regress", "waves", "ingest", "simulate-wave"])
+
+
+@COMMAND_INPUTS
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_inputs_are_digested_for_json_reports_only(args, inputs, fmt, returns_csv, regress_csv, tmp_path,
                                                   monkeypatch, capsys):
-    digested = []
-    file_digest = report.file_digest
-    monkeypatch.setattr(report, "file_digest", lambda path: digested.append(path) or file_digest(path))
+    blocks = []
+
+    @contextlib.contextmanager
+    def recorded():
+        with _files.digests() as read:
+            blocks.append(read)
+            yield read
+
+    monkeypatch.setattr(cli, "digests", recorded)
     code, _, err = run_main([a.format(tmp=tmp_path) for a in args] + ["--format", fmt], capsys)
     assert code == 0, err
-    assert len(digested) == (inputs if fmt == "json" else 0)
+    assert [len(read) for read in blocks] == ([inputs] if fmt == "json" else [])
+
+
+# The paths of the files opened while a test records them: an audit hook
+# sees every open, by any module, and cannot be removed once added.
+OPENED: list = []
+
+
+def record_open(event, args):
+    if event == "open" and OPENED:
+        OPENED[-1].append(args[0])
+
+
+sys.addaudithook(record_open)
+
+
+@COMMAND_INPUTS
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_input_is_opened_once(args, inputs, fmt, returns_csv, regress_csv, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path) for a in args]
+    named = [path for flag, path in zip(argv, argv[1:]) if flag.lstrip("-") in cli._INPUT_FLAGS]
+    OPENED.append([])
+    try:
+        code, _, err = run_main(argv + ["--format", fmt], capsys)
+    finally:
+        opened = OPENED.pop()
+    assert code == 0, err
+    assert len(named) == inputs and sorted(path for path in opened if path in named) == sorted(named)
 
 
 def test_bad_weights_exit_2(capsys):

@@ -3,11 +3,14 @@ goes through one helper for each."""
 import ast
 import codecs
 import csv
+import hashlib
 import io
 import os
 import pathlib
 import re
+import stat
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +35,15 @@ from dealdesk import (
     save_count_series,
     serialize_deals,
 )
-from dealdesk._files import _ROWS_PER_WRITE, open_text, parse_integer, parse_number, write_rows, write_tables
+from dealdesk._files import (
+    _ROWS_PER_WRITE,
+    digests,
+    open_text,
+    parse_integer,
+    parse_number,
+    write_rows,
+    write_tables,
+)
 from dealdesk.deals import REQUIRED_COLUMNS
 from dealdesk.report import write_atomic, write_rows_atomic
 
@@ -110,6 +121,18 @@ def test_directory_destination_raises_config_invalid_and_leaves_no_temp_file(nam
     assert os.listdir(tmp_path) == ["out"] and os.listdir(dest) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize("name", [*WRITERS, "write_tables"])
+def test_fifo_destination_raises_config_invalid_and_stays_a_fifo(name, tmp_path):
+    # a write renames a new file over its destination, which would replace the FIFO
+    dest = tmp_path / "out.fifo"
+    os.mkfifo(dest)
+    write = WRITERS.get(name, lambda dest: write_tables([(dest, ["a"], [0])], [["1"]]))
+    with pytest.raises(ConfigInvalidError, match=re.escape(f"cannot write {dest}: not a regular file")):
+        write(dest)
+    assert os.listdir(tmp_path) == ["out.fifo"] and stat.S_ISFIFO(os.stat(dest).st_mode)
+
+
 @pytest.mark.parametrize("name", FAILING_WRITERS)
 def test_failed_write_leaves_the_destination_as_it_was(name, tmp_path):
     dest = tmp_path / "out.csv"
@@ -123,8 +146,8 @@ def test_failed_write_leaves_the_destination_as_it_was(name, tmp_path):
 @pytest.mark.parametrize("how", ["cell", "directory"])
 def test_a_write_failing_in_its_second_table_replaces_neither(how, tmp_path):
     # the second table reads a column the first does not, and fails after
-    # both temp files hold the first block, or cannot be renamed over its
-    # destination, a directory
+    # both temp files hold the first block, or its destination, a
+    # directory, is refused before its temp file is made
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     first.write_bytes(b"earlier,bytes\r\n")
     if how == "cell":
@@ -272,6 +295,45 @@ def test_undecodable_byte_offset_counts_a_byte_order_mark(offset, tmp_path):
                 pass
 
 
+@pytest.mark.parametrize("offset", [8191, 70000])
+def test_undecodable_byte_offset_counts_from_the_file_start_inside_a_digests_block(offset, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"a" * offset + "é".encode() + b"\xff" + b"b" * 100)
+    with digests() as read, pytest.raises(ValueError, match=f"at byte {offset + 2}:"):
+        with open_text(path) as f:
+            for _ in f:
+                pass
+    assert read == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize("name", ["load_comparables", "load_ranges"])
+def test_undecodable_fifo_input_raises_value_error_naming_it(name, tmp_path):
+    # a FIFO cannot tell its position, so the message gives no offset
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"name,kind\nZ\xfcrich,trading\n",), daemon=True)
+    writer.start()
+    with pytest.raises(ValueError, match=re.escape(f"{fifo}: not UTF-8 text: invalid start byte")):
+        OPENERS[name](fifo)
+    writer.join(timeout=60)
+
+
+@pytest.mark.parametrize("data", [b"a,b\n1,2\n" * 5000, codecs.BOM_UTF8 + b"a,b\n1,2\n"], ids=["long", "bom"])
+def test_a_digest_is_of_every_byte_of_an_input_read_in_part(data, tmp_path):
+    # the text layer reads ahead and the reader stops early; closing reads
+    # and hashes the rest, so the digest is the whole file's, mark and all
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with digests() as read:
+        with open_text(path) as f:
+            assert f.readline() == "a,b\n"
+        assert read == {str(path): hashlib.sha256(data).hexdigest()}
+    with open_text(path) as f:  # outside the block nothing is hashed or recorded
+        f.read()
+    assert read == {str(path): hashlib.sha256(data).hexdigest()}
+
+
 def test_open_stream_passes_through_and_stays_open():
     stream = io.StringIO("a,b\n")
     with open_text(stream) as got:
@@ -292,8 +354,10 @@ def test_only_the_helper_module_tells_paths_from_streams():
     # and the only one that reads and writes CSV rows: one csv.reader loop,
     # no csv.DictReader, and rows written without csv.writer
     texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    for word in ("__fspath__", "def write_rows(", "csv.reader("):
+    # and the only one that opens a file (the builtin open, not os.open) or hashes one
+    for word in ("__fspath__", "def write_rows(", "csv.reader(", "hashlib"):
         assert sorted(name for name, text in texts.items() if word in text) == ["_files.py"], word
+    assert sorted(name for name, text in texts.items() if re.search(r"(?<![\w.])open\(", text)) == ["_files.py"]
     for word in ("csv.DictReader", "csv.writer"):
         assert [name for name, text in texts.items() if word in text] == [], word
 

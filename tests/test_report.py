@@ -1,13 +1,14 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from dealdesk import round_millions, round_multiple, round_per_share
+from dealdesk._files import digests, open_text
 from dealdesk.comps import MultipleRange, TargetProfile, run_valuation
 from dealdesk.report import (
     canonical_json,
-    file_digest,
     provenance,
     valuation_payload,
     valuation_text,
@@ -105,8 +106,15 @@ def test_write_atomic_and_digest(tmp_path):
     write_atomic(path, canonical_json({"x": 2}))
     assert json.loads(path.read_text()) == {"x": 2}
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
-    digest = file_digest(path)
-    assert len(digest) == 64 and digest == file_digest(path)
+    digest = read_digest(path)
+    assert len(digest) == 64 and digest == read_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_digest(path):
+    """The digest a ``digests`` block records for ``path``, read as a loader reads it."""
+    with digests() as read, open_text(path) as stream:
+        stream.read()
+    return read[str(path)]
 
 
 def test_write_rows_atomic_quotes_embedded_commas(tmp_path):
@@ -124,20 +132,20 @@ def test_write_rows_atomic_quotes_embedded_commas(tmp_path):
 def test_provenance_block_shape(tmp_path):
     f1 = tmp_path / "one.csv"
     f1.write_text("a,b\n1,2\n")
-    block = provenance({"comps": f1}, seed=42)
+    block = provenance({"comps": read_digest(f1)}, seed=42)
     assert block["version"]
     assert block["seed"] == 42
     assert set(block["inputs"]) == {"comps"}
-    assert block["inputs"]["comps"] == file_digest(f1)
+    assert block["inputs"]["comps"] == hashlib.sha256(f1.read_bytes()).hexdigest()
     assert "timestamp" not in block
-    no_seed = provenance({"comps": f1})
+    no_seed = provenance({"comps": read_digest(f1)})
     assert "seed" not in no_seed
 
 
 def test_provenance_changes_with_content(tmp_path):
     f1 = tmp_path / "one.csv"
     f1.write_text("a\n1\n")
-    before = provenance({"x": f1})
+    before = provenance({"x": read_digest(f1)})
     f1.write_text("a\n2\n")
-    after = provenance({"x": f1})
+    after = provenance({"x": read_digest(f1)})
     assert before["inputs"]["x"] != after["inputs"]["x"]
